@@ -10,9 +10,8 @@
 //! [`LatencyDistribution`] evaluates that mixture's CDF in closed form.
 
 use crate::exact::AnalysisConfig;
-use nd_core::coverage::{CoverageMap, OverlapModel};
+use crate::firsthit::{FirstHitError, FirstHits};
 use nd_core::error::NdError;
-use nd_core::interval::IntervalSet;
 use nd_core::schedule::{BeaconSeq, ReceptionWindows};
 use nd_core::time::Tick;
 
@@ -48,56 +47,57 @@ impl LatencyDistribution {
         cfg: &AnalysisConfig,
         allow_partial: bool,
     ) -> Result<Self, NdError> {
-        let gaps = beacons.gaps();
-        let uniform = gaps.iter().all(|&g| g == gaps[0]);
-        let m_b = beacons.n_beacons();
-        let starts: Vec<usize> = if uniform { vec![0] } else { (0..m_b).collect() };
-        let t_b = beacons.period().as_secs_f64();
-        // residue-fold saturation bound, shared across all starting phases
-        let base = model_offsets(cfg.model, windows, cfg.omega)?;
-        let ultimate =
-            crate::residue::ultimate_covered_measure(&base, beacons, windows.period());
-
-        let mut components = Vec::with_capacity(starts.len());
-        let mut worst = Tick::ZERO;
-        let mut any_uncovered = false;
-        for &k in &starts {
-            let gap = gaps[(k + m_b - 1) % m_b];
-            let map = expand_map(beacons, windows, k, ultimate, cfg)?;
-            let profile = map.first_hit_profile();
-            let undiscovered =
-                profile.uncovered_measure().as_nanos() as f64 / windows.period().as_nanos() as f64;
-            if undiscovered > 0.0 {
-                any_uncovered = true;
-            }
-            if let Some(w) = profile.distribution().last().map(|&(d, _)| d) {
-                worst = worst.max(gap + w);
-            }
-            let weight = if uniform {
-                1.0
-            } else {
-                gap.as_secs_f64() / t_b
-            };
-            components.push(Component {
-                weight,
-                gap: gap.as_secs_f64(),
-                profile: profile
-                    .distribution()
-                    .into_iter()
-                    .map(|(d, p)| (d.as_secs_f64(), p))
-                    .collect(),
-                undiscovered,
-            });
-        }
-        if any_uncovered && !allow_partial {
+        let hits = FirstHits::compute(beacons, windows, cfg).map_err(|e| {
+            NdError::AnalysisFailed(match e {
+                FirstHitError::NoReception => "windows admit no reception under this model".into(),
+                FirstHitError::Budget { .. } => "beacon budget exhausted".into(),
+            })
+        })?;
+        let dist = Self::from_first_hits(&hits);
+        if dist.worst.is_none() && !allow_partial {
             return Err(NdError::AnalysisFailed(
                 "schedule leaves offsets permanently uncovered".into(),
             ));
         }
-        Ok(LatencyDistribution {
+        Ok(dist)
+    }
+
+    /// The distribution of a computed first-hit structure (with an atom
+    /// at infinity if some offsets are never covered).
+    pub fn from_first_hits(hits: &FirstHits) -> Self {
+        let t_b = hits.beacon_period.as_secs_f64();
+        let total = hits.period.as_nanos() as f64;
+        let mut components = Vec::with_capacity(hits.phases.len());
+        let mut worst = Tick::ZERO;
+        let mut any_uncovered = false;
+        for ph in &hits.phases {
+            let undiscovered = ph.uncovered as f64 / total;
+            if undiscovered > 0.0 {
+                any_uncovered = true;
+            }
+            if let Some(&(w, _)) = ph.hist.last() {
+                worst = worst.max(ph.gap + w);
+            }
+            let weight = if hits.uniform {
+                1.0
+            } else {
+                ph.gap.as_secs_f64() / t_b
+            };
+            components.push(Component {
+                weight,
+                gap: ph.gap.as_secs_f64(),
+                profile: ph
+                    .hist
+                    .iter()
+                    .map(|&(d, m)| (d.as_secs_f64(), m as f64 / total))
+                    .collect(),
+                undiscovered,
+            });
+        }
+        LatencyDistribution {
             components,
             worst: if any_uncovered { None } else { Some(worst) },
-        })
+        }
     }
 
     /// `P(latency ≤ t)` — exact.
@@ -169,74 +169,6 @@ impl LatencyDistribution {
     pub fn worst(&self) -> Option<Tick> {
         self.worst
     }
-}
-
-/// Expand the coverage map from beacon `k` until fully covered, saturated
-/// at the residue-fold bound `ultimate`, or until the distinct-image
-/// budget is exhausted (same policy as the exact engine).
-fn expand_map(
-    beacons: &BeaconSeq,
-    windows: &ReceptionWindows,
-    k: usize,
-    ultimate: Tick,
-    cfg: &AnalysisConfig,
-) -> Result<CoverageMap, NdError> {
-    let period_c = windows.period();
-    let base = model_offsets(cfg.model, windows, cfg.omega)?;
-    let m_b = beacons.n_beacons();
-    let times = beacons.times();
-    let t_k = times[k];
-    let distinct = lcm(beacons.period().as_nanos(), period_c.as_nanos())
-        .map(|l| (l / beacons.period().as_nanos()).saturating_mul(m_b as u64))
-        .unwrap_or(u64::MAX);
-    let mut rel = Vec::new();
-    let mut covered = IntervalSet::empty();
-    let mut n = 0usize;
-    while !covered.covers(period_c) {
-        if n >= cfg.max_beacons {
-            return Err(NdError::AnalysisFailed("beacon budget exhausted".into()));
-        }
-        if n as u64 >= distinct {
-            break;
-        }
-        let cycle = (k + n) / m_b;
-        let idx = (k + n) % m_b;
-        let abs = times[idx] + beacons.period() * cycle as u64;
-        let r = abs - t_k;
-        covered = covered.union(&base.shift_mod(-(r.as_nanos() as i128), period_c));
-        rel.push(r);
-        n += 1;
-        if covered.measure() >= ultimate {
-            break; // saturated: the remaining gaps are permanent
-        }
-    }
-    Ok(CoverageMap::build(&rel, windows, cfg.omega, cfg.model))
-}
-
-fn model_offsets(
-    model: OverlapModel,
-    windows: &ReceptionWindows,
-    omega: Tick,
-) -> Result<IntervalSet, NdError> {
-    let base = model.reception_offsets(windows, omega);
-    if base.is_empty() {
-        return Err(NdError::AnalysisFailed(
-            "windows admit no reception under this model".into(),
-        ));
-    }
-    Ok(base)
-}
-
-fn lcm(a: u64, b: u64) -> Option<u64> {
-    fn gcd(mut a: u64, mut b: u64) -> u64 {
-        while b != 0 {
-            let t = a % b;
-            a = b;
-            b = t;
-        }
-        a
-    }
-    (a / gcd(a, b)).checked_mul(b)
 }
 
 #[cfg(test)]

@@ -10,12 +10,14 @@
 //!
 //! of the time until the first successful beacon/window overlap. It
 //! replaces the recursive computation scheme of \[18\] (which the paper
-//! cites for PI protocols) with a coverage-map sweep that works for *any*
-//! periodic schedule — slotted, slotless or irregular.
+//! cites for PI protocols) with the first-hit kernel of
+//! [`crate::firsthit`], which works for *any* periodic schedule —
+//! slotted, slotless or irregular. The functions here are views over one
+//! [`FirstHits`] computation.
 
-use nd_core::coverage::{CoverageMap, OverlapModel};
+use crate::firsthit::FirstHits;
+use nd_core::coverage::OverlapModel;
 use nd_core::error::NdError;
-use nd_core::interval::IntervalSet;
 use nd_core::schedule::{BeaconSeq, ReceptionWindows, Schedule};
 use nd_core::time::Tick;
 
@@ -106,19 +108,7 @@ pub fn one_way_worst_case(
     windows: &ReceptionWindows,
     cfg: &AnalysisConfig,
 ) -> Result<WorstCase, NdError> {
-    let c = one_way_coverage(beacons, windows, cfg)?;
-    if !c.is_deterministic() {
-        return Err(NdError::AnalysisFailed(format!(
-            "not deterministic: {:.4} % of offsets are never covered",
-            c.undiscovered_probability * 100.0
-        )));
-    }
-    Ok(WorstCase {
-        latency: c.worst_covered,
-        packet_to_packet: c.packet_to_packet,
-        mean: c.mean_covered,
-        beacons_needed: c.beacons_needed,
-    })
+    FirstHits::compute(beacons, windows, cfg)?.worst_case()
 }
 
 /// Exact coverage analysis for a receiver running `windows` to discover a
@@ -128,158 +118,7 @@ pub fn one_way_coverage(
     windows: &ReceptionWindows,
     cfg: &AnalysisConfig,
 ) -> Result<CoverageCase, NdError> {
-    let gaps = beacons.gaps();
-    let uniform = gaps.iter().all(|&g| g == gaps[0]);
-    let m_b = beacons.n_beacons();
-    // which starting beacons to analyze: with uniform gaps every start is
-    // equivalent
-    let starts: Vec<usize> = if uniform { vec![0] } else { (0..m_b).collect() };
-    // the largest measure any expansion can ever cover — start-independent,
-    // so compute the fold once and share it across phases
-    let base = cfg.model.reception_offsets(windows, cfg.omega);
-    let ultimate = if base.is_empty() {
-        Tick::ZERO
-    } else {
-        crate::residue::ultimate_covered_measure(&base, beacons, windows.period())
-    };
-
-    let mut worst = Tick::ZERO;
-    let mut worst_l_star = Tick::ZERO;
-    let mut beacons_needed = 0usize;
-    // Σ over phases of (λ²/2 + λ·mean_k) for the mean, and of
-    // λ·uncovered_k for the failure probability; normalized by T_B
-    let mut mean_acc = 0.0;
-    let mut uncovered_acc = 0.0;
-
-    for &k in &starts {
-        // the gap preceding beacon k (wrap-around: gaps[i] is the gap
-        // *after* beacon i)
-        let prev_gap = gaps[(k + m_b - 1) % m_b];
-        let profile = phase_profile(beacons, windows, k, ultimate, cfg)?;
-        if let Some(l_star) = profile.worst {
-            worst_l_star = worst_l_star.max(l_star);
-            worst = worst.max(prev_gap + l_star);
-        }
-        beacons_needed = beacons_needed.max(profile.n_beacons);
-        let lam = prev_gap.as_secs_f64();
-        let weight = if uniform { m_b as f64 } else { 1.0 };
-        mean_acc += weight * (lam * lam / 2.0 + lam * profile.mean_covered);
-        uncovered_acc += weight * lam * profile.uncovered_fraction;
-    }
-    let t_b = beacons.period().as_secs_f64();
-    Ok(CoverageCase {
-        worst_covered: worst,
-        packet_to_packet: worst_l_star,
-        undiscovered_probability: uncovered_acc / t_b,
-        mean_covered: mean_acc / t_b,
-        beacons_needed,
-    })
-}
-
-struct PhaseProfile {
-    worst: Option<Tick>,
-    mean_covered: f64,
-    uncovered_fraction: f64,
-    n_beacons: usize,
-}
-
-/// Build the coverage map starting from beacon `k`, expanding lazily until
-/// the running union saturates at `ultimate` (the residue-fold bound on
-/// what any expansion can cover — see [`crate::residue`]), the whole
-/// period is covered, or the set of distinct shift images has been
-/// exhausted (shifts repeat after `m_B · lcm(T_B,T_C)/T_B` beacons), and
-/// extract the first-hit profile. Stopping at saturation is exact: a
-/// beacon arriving after the union stops growing cannot be any offset's
-/// first hit.
-fn phase_profile(
-    beacons: &BeaconSeq,
-    windows: &ReceptionWindows,
-    k: usize,
-    ultimate: Tick,
-    cfg: &AnalysisConfig,
-) -> Result<PhaseProfile, NdError> {
-    let period_c = windows.period();
-    let base = cfg.model.reception_offsets(windows, cfg.omega);
-    if base.is_empty() {
-        return Err(NdError::AnalysisFailed(
-            "reception windows admit no successful packet under this model".into(),
-        ));
-    }
-    let m_b = beacons.n_beacons();
-    let times = beacons.times();
-    let t_k = times[k];
-    // all distinct images are seen within one lcm(T_B, T_C) of beacons
-    let distinct_budget = lcm_u64(beacons.period().as_nanos(), period_c.as_nanos())
-        .map(|l| (l / beacons.period().as_nanos()).saturating_mul(m_b as u64))
-        .unwrap_or(u64::MAX);
-
-    // expand beacons from k until the union covers [0, T_C) or no new
-    // coverage is possible
-    let mut rel = Vec::with_capacity(64);
-    let mut covered = IntervalSet::empty();
-    let mut n = 0usize;
-    while !covered.covers(period_c) {
-        if n >= cfg.max_beacons {
-            return Err(NdError::AnalysisFailed(format!(
-                "coverage still growing after {} beacons — raise max_beacons",
-                cfg.max_beacons
-            )));
-        }
-        if n as u64 >= distinct_budget {
-            break; // coverage can no longer grow: remaining gaps are permanent
-        }
-        let cycle = (k + n) / m_b;
-        let idx = (k + n) % m_b;
-        let abs = times[idx] + beacons.period() * cycle as u64;
-        let r = abs - t_k;
-        let image = base.shift_mod(-(r.as_nanos() as i128), period_c);
-        covered = covered.union(&image);
-        rel.push(r);
-        n += 1;
-        if covered.measure() >= ultimate {
-            break; // saturated: the remaining gaps are permanent
-        }
-    }
-    let map = CoverageMap::build(&rel, windows, cfg.omega, cfg.model);
-    let profile = map.first_hit_profile();
-    let uncovered = profile.uncovered_measure().as_nanos() as f64 / period_c.as_nanos() as f64;
-    // mean over covered offsets only
-    let mean_covered = if uncovered == 0.0 {
-        profile.mean().unwrap_or(f64::NAN)
-    } else {
-        let mut acc = 0.0;
-        let mut mass = 0.0;
-        for (d, p) in profile.distribution() {
-            acc += d.as_secs_f64() * p;
-            mass += p;
-        }
-        if mass > 0.0 {
-            acc / mass
-        } else {
-            f64::NAN
-        }
-    };
-    Ok(PhaseProfile {
-        worst: profile.worst().or_else(|| {
-            // max over covered segments even when some are uncovered
-            profile.distribution().last().map(|&(d, _)| d)
-        }),
-        mean_covered,
-        uncovered_fraction: uncovered,
-        n_beacons: n,
-    })
-}
-
-fn lcm_u64(a: u64, b: u64) -> Option<u64> {
-    fn gcd(mut a: u64, mut b: u64) -> u64 {
-        while b != 0 {
-            let t = a % b;
-            a = b;
-            b = t;
-        }
-        a
-    }
-    (a / gcd(a, b)).checked_mul(b)
+    Ok(FirstHits::compute(beacons, windows, cfg)?.coverage())
 }
 
 /// Exact worst-case **two-way** latency for two full schedules: the max of
@@ -291,25 +130,54 @@ pub fn two_way_worst_case(
     f: &Schedule,
     cfg: &AnalysisConfig,
 ) -> Result<Tick, NdError> {
+    let [(be, cf), _] = directions(e, f)?;
+    Ok(two_way_from(e, f, &FirstHits::compute(be, cf, cfg)?, cfg)?.0)
+}
+
+/// [`two_way_worst_case`] given `forward`, the first hits of E's beacons
+/// against F's windows. The reverse direction is computed only when it
+/// differs from the forward one (it is returned for its statistics); a
+/// symmetric pair costs no second computation.
+pub fn two_way_from(
+    e: &Schedule,
+    f: &Schedule,
+    forward: &FirstHits,
+    cfg: &AnalysisConfig,
+) -> Result<(Tick, Option<FirstHits>), NdError> {
+    let [there, (bf, ce)] = directions(e, f)?;
+    let f_discovers_e = forward.worst_case()?.latency;
+    if (bf, ce) == there {
+        return Ok((f_discovers_e, None));
+    }
+    let reverse = FirstHits::compute(bf, ce, cfg)?;
+    let e_discovers_f = reverse.worst_case()?.latency;
+    Ok((f_discovers_e.max(e_discovers_f), Some(reverse)))
+}
+
+/// The two discovery directions of a pair: E's beacons against F's
+/// windows, and F's beacons against E's windows.
+fn directions<'a>(
+    e: &'a Schedule,
+    f: &'a Schedule,
+) -> Result<[(&'a BeaconSeq, &'a ReceptionWindows); 2], NdError> {
+    let missing = |what: &str| NdError::AnalysisFailed(format!("device {what}"));
     let be = e
         .beacons
         .as_ref()
-        .ok_or_else(|| NdError::AnalysisFailed("device E never transmits".into()))?;
+        .ok_or_else(|| missing("E never transmits"))?;
     let cf = f
         .windows
         .as_ref()
-        .ok_or_else(|| NdError::AnalysisFailed("device F never listens".into()))?;
+        .ok_or_else(|| missing("F never listens"))?;
     let bf = f
         .beacons
         .as_ref()
-        .ok_or_else(|| NdError::AnalysisFailed("device F never transmits".into()))?;
+        .ok_or_else(|| missing("F never transmits"))?;
     let ce = e
         .windows
         .as_ref()
-        .ok_or_else(|| NdError::AnalysisFailed("device E never listens".into()))?;
-    let f_discovers_e = one_way_worst_case(be, cf, cfg)?;
-    let e_discovers_f = one_way_worst_case(bf, ce, cfg)?;
-    Ok(f_discovers_e.latency.max(e_discovers_f.latency))
+        .ok_or_else(|| missing("E never listens"))?;
+    Ok([(be, cf), (bf, ce)])
 }
 
 /// Reference oracle: the first discovery instant for a *concrete* phase,

@@ -1,6 +1,6 @@
 //! Residue-class gap folding for exact coverage expansion.
 //!
-//! The exact engine expands beacon images `base − r mod T_C` until the
+//! The exact kernel expands beacon images `base − r mod T_C` until the
 //! union covers the receiver period. The relative beacon times walk an
 //! arithmetic progression: `r = (t_i − t_k) + c·T_B`, so modulo `T_C` the
 //! cycle term visits exactly the subgroup `{j·d mod T_C}` generated by
@@ -11,15 +11,13 @@
 //! every residue class of the (possibly huge) hyperperiod
 //! `lcm(T_B, T_C)`.
 //!
-//! This module computes that **ultimate covered measure** up front. The
-//! expansion loops in [`crate::exact`] and [`crate::dist`] then stop as
-//! soon as the running union reaches it, instead of exhausting the
-//! distinct-image budget — which is what makes exact analysis of
-//! prime-pair schedules (Searchlight/Disco) with large co-prime
-//! hyperperiods cost milliseconds instead of seconds per point. The
-//! truncation is exact: once the union stops growing, later beacons can
-//! never change any offset's *first* hit, so worst/mean/uncovered are
-//! bit-identical to the fully-enumerated profile.
+//! This module computes that **ultimate covered measure**. The forward
+//! pass of [`crate::firsthit`] stops as soon as its covered measure
+//! reaches it, instead of exhausting the distinct-image budget of a
+//! large co-prime hyperperiod. The truncation is exact: once the union
+//! stops growing, later beacons can never change any offset's *first*
+//! hit, so worst/mean/uncovered are bit-identical to the fully-enumerated
+//! profile.
 
 use nd_core::interval::IntervalSet;
 use nd_core::schedule::BeaconSeq;
@@ -63,7 +61,6 @@ pub fn ultimate_covered_measure(base: &IntervalSet, beacons: &BeaconSeq, period_
 mod tests {
     use super::*;
     use crate::exact::{one_way_coverage, AnalysisConfig};
-    use nd_core::coverage::OverlapModel;
     use nd_core::schedule::ReceptionWindows;
     use nd_protocols::optimal::{self, OptimalParams};
     use nd_protocols::Disco;

@@ -284,6 +284,15 @@ impl Span {
     pub fn is_recording(&self) -> bool {
         self.inner.is_some()
     }
+
+    /// Attach a field known only after the span opened (an outcome, a
+    /// count). A no-op on an inert guard: the value is not even
+    /// converted.
+    pub fn record(&mut self, key: &'static str, value: impl Into<FieldValue>) {
+        if let Some(inner) = &mut self.inner {
+            inner.fields.push((key, value.into()));
+        }
+    }
 }
 
 impl Drop for Span {
@@ -425,6 +434,29 @@ mod tests {
         for l in &lines {
             assert!(l.starts_with('{') && l.ends_with('}'));
         }
+    }
+
+    #[test]
+    fn recorded_fields_follow_the_opening_ones() {
+        let _g = serial();
+        shutdown();
+        let mut inert = span!("test.inert");
+        inert.record("late", 1u64);
+        assert!(!inert.is_recording());
+        drop(inert);
+        let buf = Shared::default();
+        init_writer(Box::new(buf.clone()));
+        {
+            let mut s = span!("test.record", job = 3u64);
+            s.record("exit", "covered");
+            s.record("images", 12usize);
+        }
+        shutdown();
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        assert!(
+            text.contains("\"fields\": {\"job\": 3, \"exit\": \"covered\", \"images\": 12}"),
+            "got: {text}"
+        );
     }
 
     #[test]

@@ -13,7 +13,8 @@ use crate::pool::{default_threads, run_parallel};
 use crate::spec::{Backend, Deadline, Horizon, Metric, ScenarioSpec};
 use crate::value::Value;
 use nd_analysis::{
-    one_way_coverage, two_way_worst_case, AnalysisConfig, LatencyDistribution, LatencySummary,
+    two_way_from, two_way_worst_case, AnalysisConfig, FirstHitError, FirstHits,
+    LatencyDistribution, LatencySummary,
 };
 use nd_core::bounds::asymmetric::{asymmetry_penalty, product_vs_joint_budget};
 use nd_core::error::NdError;
@@ -218,8 +219,8 @@ pub fn execute_job(job: &Job, spec: &ScenarioSpec) -> Result<BTreeMap<String, f6
             exec_bounds(job, spec)
         }
         Backend::Exact => {
-            let _span = nd_obs::span!("backend.exact", job = job.index);
-            exec_exact(job, spec)
+            let mut span = nd_obs::span!("backend.exact", job = job.index);
+            exec_exact(job, spec, &mut span)
         }
         Backend::MonteCarlo => {
             let _span = nd_obs::span!("backend.montecarlo", job = job.index);
@@ -315,7 +316,15 @@ fn exec_bounds(job: &Job, spec: &ScenarioSpec) -> Result<BTreeMap<String, f64>, 
     Ok(m)
 }
 
-fn exec_exact(job: &Job, spec: &ScenarioSpec) -> Result<BTreeMap<String, f64>, String> {
+/// The exact backend: one first-hit computation per discovery direction
+/// (one in total for a symmetric pair) answers every row metric. `span`
+/// (`backend.exact`) gains the computation's `phases`, `images`,
+/// `beacons_needed` and `exit` (covered / saturated / budget).
+fn exec_exact(
+    job: &Job,
+    spec: &ScenarioSpec,
+    span: &mut nd_obs::trace::Span,
+) -> Result<BTreeMap<String, f64>, String> {
     let (sched_a, sched_b) = build_role_schedules(job, spec)?;
     // the one-way metric is "device 1 (role B) discovers device 0
     // (role A)": role A's beacons against role B's listening windows
@@ -329,7 +338,13 @@ fn exec_exact(job: &Job, spec: &ScenarioSpec) -> Result<BTreeMap<String, f64>, S
         .ok_or("role B never listens; exact one-way analysis needs windows")?;
     let cfg = analysis_config(spec);
 
-    let cov = one_way_coverage(beacons, windows, &cfg).map_err(|e| e.to_string())?;
+    let hits = FirstHits::compute(beacons, windows, &cfg).map_err(|e| {
+        if let FirstHitError::Budget { .. } = e {
+            span.record("exit", "budget");
+        }
+        NdError::from(e).to_string()
+    })?;
+    let cov = hits.coverage();
     let mut m = BTreeMap::new();
     m.insert("worst_s".to_string(), cov.worst_covered.as_secs_f64());
     m.insert("mean_s".to_string(), cov.mean_covered);
@@ -344,15 +359,28 @@ fn exec_exact(job: &Job, spec: &ScenarioSpec) -> Result<BTreeMap<String, f64>, S
     m.insert("beacons_needed".to_string(), cov.beacons_needed as f64);
 
     if spec.percentiles {
-        let dist =
-            LatencyDistribution::build(beacons, windows, &cfg, true).map_err(|e| e.to_string())?;
+        let dist = LatencyDistribution::from_first_hits(&hits);
         for (name, q) in [("p50_s", 0.50), ("p95_s", 0.95), ("p99_s", 0.99)] {
             m.insert(name.to_string(), dist.quantile(q));
         }
     }
 
-    if spec.metric == Metric::TwoWay {
-        let two = two_way_worst_case(&sched_a, &sched_b, &cfg).map_err(|e| e.to_string())?;
+    let two_way =
+        (spec.metric == Metric::TwoWay).then(|| two_way_from(&sched_a, &sched_b, &hits, &cfg));
+    // a two-way row of an asymmetric pair computes the reverse direction too
+    let images = match &two_way {
+        Some(Ok((_, Some(reverse)))) => hits.images() + reverse.images(),
+        _ => hits.images(),
+    };
+    nd_obs::metrics::add("exact.images", images as u64);
+    if span.is_recording() {
+        span.record("phases", hits.phases());
+        span.record("images", images);
+        span.record("beacons_needed", cov.beacons_needed);
+        span.record("exit", hits.exit());
+    }
+    if let Some(two) = two_way {
+        let (two, _) = two.map_err(|e| e.to_string())?;
         m.insert("two_way_worst_s".to_string(), two.as_secs_f64());
     }
     if job.has_role_b() {

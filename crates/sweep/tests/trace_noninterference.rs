@@ -61,7 +61,9 @@ fn nd_trace_changes_no_hashes_and_no_exports() {
 
     let buf = Shared(Arc::new(Mutex::new(Vec::new())));
     nd_obs::trace::init_writer(Box::new(buf.clone()));
+    nd_obs::metrics::set_enabled(true);
     let traced = fingerprint();
+    nd_obs::metrics::set_enabled(false);
     nd_obs::trace::shutdown();
 
     assert_eq!(
@@ -85,4 +87,29 @@ fn nd_trace_changes_no_hashes_and_no_exports() {
     assert_eq!(report.by_name["sweep.run"], 1);
     assert_eq!(report.by_name["sweep.job"], 2);
     assert_eq!(report.by_name["backend.exact"], 2);
+
+    // each exact evaluation explains its cost: how many phases and beacon
+    // images the kernel ran and why it stopped (the uniform optimal
+    // tiling covers, Disco's slot-boundary strips saturate)
+    let exact: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains("\"name\": \"backend.exact\""))
+        .collect();
+    for line in &exact {
+        for field in ["phases", "images", "beacons_needed", "exit"] {
+            assert!(
+                line.contains(&format!("\"{field}\": ")),
+                "{field} missing: {line}"
+            );
+        }
+    }
+    for exit in ["covered", "saturated"] {
+        assert!(
+            exact
+                .iter()
+                .any(|l| l.contains(&format!("\"exit\": \"{exit}\""))),
+            "no {exit} exit in {exact:?}"
+        );
+    }
+    assert!(nd_obs::metrics::counter("exact.images").get() > 0);
 }
