@@ -1,14 +1,14 @@
-//! Golden results for the exact backend: the rows `execute_job` returns
-//! for a set of canonical exact jobs, pinned as f64 bit patterns in
-//! `tests/golden/exact_rows.txt` together with the `ENGINE_VERSION` they
-//! were captured at.
+//! Golden results for the exact, montecarlo and netsim backends: the rows
+//! `execute_job` returns for a set of canonical jobs, pinned as f64 bit
+//! patterns in `tests/golden/exact_rows.txt` together with the
+//! `ENGINE_VERSION` they were captured at.
 //!
 //! The result cache is keyed by job content and `ENGINE_VERSION`, so a
-//! change to the exact kernel that alters any row must also bump the
-//! version — otherwise every cached row silently goes stale. This test
-//! enforces that: a row that differs from the fixture fails unless the
-//! fixture records a different engine version (re-pin it then: the
-//! failure message prints the fresh fixture).
+//! change to the exact kernel or to the simulator that alters any row must
+//! also bump the version — otherwise every cached row silently goes stale.
+//! This test enforces that: a row that differs from the fixture fails
+//! unless the fixture records a different engine version (re-pin it then:
+//! the failure message prints the fresh fixture).
 
 use nd_sweep::engine::execute_job;
 use nd_sweep::{expand, ScenarioSpec, ENGINE_VERSION};
@@ -28,9 +28,40 @@ macro_rules! one_way {
     };
 }
 
+/// A montecarlo job: `metric`, then `[grid]` lines, then `[sim]` lines
+/// after a fixed seed and a small trial count.
+macro_rules! montecarlo {
+    ($metric:literal, $grid:literal, $sim:literal) => {
+        concat!(
+            "name = \"g\"\nbackend = \"montecarlo\"\nmetric = \"",
+            $metric,
+            "\"\n[grid]\n",
+            $grid,
+            "\n[sim]\nseed = 3\n",
+            $sim
+        )
+    };
+}
+
+/// A netsim job, shaped like [`montecarlo!`].
+macro_rules! netsim {
+    ($metric:literal, $grid:literal, $sim:literal) => {
+        concat!(
+            "name = \"g\"\nbackend = \"netsim\"\nmetric = \"",
+            $metric,
+            "\"\n[grid]\n",
+            $grid,
+            "\n[sim]\nseed = 5\n",
+            $sim
+        )
+    };
+}
+
 /// `(case name, spec)`: every registry protocol at two duty cycles with
 /// percentiles on, then the two-way, Theorem 5.7 pair, overlap-model and
-/// heterogeneous-pair jobs.
+/// heterogeneous-pair jobs; then montecarlo jobs (fault drops on and off,
+/// one-, either- and two-way, drift 0 and 20 ppm) and netsim cohorts of
+/// 2, 8 and 17 nodes (churn, collisions on and off).
 const CASES: &[(&str, &str)] = &[
     ("optimal-0.02", one_way!("optimal-slotless", 0.02)),
     ("optimal-0.10", one_way!("optimal-slotless", 0.10)),
@@ -132,6 +163,134 @@ percentiles = false
 [grid]
 protocol = ["disco"]
 eta = [0.10]"#,
+    ),
+    (
+        "mc-disco-one-way",
+        montecarlo!(
+            "one-way",
+            "protocol = [\"disco\"]\neta = [0.05]",
+            "trials = 12\nhorizon_ms = 3000"
+        ),
+    ),
+    (
+        "mc-optimal-two-way",
+        montecarlo!(
+            "two-way",
+            "protocol = [\"optimal-slotless\"]\neta = [0.10]",
+            "trials = 16"
+        ),
+    ),
+    (
+        "mc-optimal-one-way-drop",
+        montecarlo!(
+            "one-way",
+            "protocol = [\"optimal-slotless\"]\neta = [0.10]\ndrop_probability = [0.3]",
+            "trials = 16"
+        ),
+    ),
+    (
+        "mc-disco-two-way-drop",
+        montecarlo!(
+            "two-way",
+            "protocol = [\"disco\"]\neta = [0.10]\ndrop_probability = [0.2]",
+            "trials = 12\nhorizon_ms = 1500\ndeadline_ms = 400"
+        ),
+    ),
+    (
+        "mc-searchlight-drift",
+        montecarlo!(
+            "one-way",
+            "protocol = [\"searchlight\"]\neta = [0.10]\ndrift_ppm = [20]",
+            "trials = 12\nhorizon_ms = 600"
+        ),
+    ),
+    (
+        "mc-optimal-two-way-drift-drop",
+        montecarlo!(
+            "two-way",
+            "protocol = [\"optimal-slotless\"]\neta = [0.05]\ndrift_ppm = [20]\ndrop_probability = [0.1]",
+            "trials = 12"
+        ),
+    ),
+    (
+        "mc-u-connect-either-way-turnaround",
+        montecarlo!(
+            "either-way",
+            "protocol = [\"u-connect\"]\neta = [0.10]\nturnaround_us = [40]",
+            "trials = 12\nhorizon_ms = 600"
+        ),
+    ),
+    (
+        "mc-pair-thm5.7",
+        montecarlo!(
+            "two-way",
+            "protocol = [\"optimal-slotless\"]\neta = [0.01]\neta_b = [0.10]",
+            "trials = 8"
+        ),
+    ),
+    (
+        "mc-strip-fixed-phase",
+        montecarlo!(
+            "one-way",
+            "protocol = [\"diff-code:7:1,2,4\"]\nslot_us = [1000]\ndrift_ppm = [20]\nphase_us = [18]",
+            "trials = 1\nhorizon_ms = 2000"
+        ),
+    ),
+    (
+        "ns-optimal-n2",
+        netsim!(
+            "two-way",
+            "protocol = [\"optimal-slotless\"]\neta = [0.10]\nnodes = [2]",
+            "trials = 6"
+        ),
+    ),
+    (
+        "ns-disco-n2-drop",
+        netsim!(
+            "one-way",
+            "protocol = [\"disco\"]\neta = [0.10]\nnodes = [2]\ndrop_probability = [0.2]",
+            "trials = 4\nhorizon_ms = 1500"
+        ),
+    ),
+    (
+        "ns-optimal-n8-churn",
+        netsim!(
+            "either-way",
+            "protocol = [\"optimal-slotless\"]\neta = [0.10]\nnodes = [8]\nchurn = [0.25]",
+            "trials = 3\nhorizon_ms = 300"
+        ),
+    ),
+    (
+        "ns-disco-n8-no-collisions",
+        netsim!(
+            "one-way",
+            "protocol = [\"disco\"]\neta = [0.10]\nnodes = [8]\ncollision = [false]",
+            "trials = 2\nhorizon_ms = 1500"
+        ),
+    ),
+    (
+        "ns-optimal-n17",
+        netsim!(
+            "two-way",
+            "protocol = [\"optimal-slotless\"]\neta = [0.10]\nnodes = [17]",
+            "trials = 2"
+        ),
+    ),
+    (
+        "ns-optimal-n17-churn-drift-no-collisions",
+        netsim!(
+            "one-way",
+            "protocol = [\"optimal-slotless\"]\neta = [0.10]\nnodes = [17]\nchurn = [0.5]\ndrift_ppm = [20]\ncollision = [false]",
+            "trials = 2\nhorizon_ms = 200"
+        ),
+    ),
+    (
+        "ns-mixed-n8",
+        netsim!(
+            "two-way",
+            "protocol = [\"optimal-slotless\"]\neta = [0.10]\neta_b = [0.05]\nmix = [0.25]\nnodes = [8]",
+            "trials = 2"
+        ),
     ),
 ];
 
