@@ -11,8 +11,8 @@
 //!   scheme of the paper's reference \[18\];
 //! * [`dist`] — exact latency *distributions* (CDF, quantiles, mean), not
 //!   just the worst case;
-//! * [`montecarlo`] — randomized-phase simulation campaigns on top of
-//!   `nd-sim`, for collisions, fault injection and reactive protocols;
+//! * [`montecarlo`] — randomized-phase simulation campaigns on
+//!   `nd-netsim`, for collisions, fault injection and reactive protocols;
 //! * [`residue`] — residue-class gap folding: the ultimate coverage of an
 //!   expansion, computed from one fold per beacon so co-prime schedule
 //!   pairs with huge hyperperiods stop expanding the moment coverage

@@ -1,12 +1,18 @@
-//! Monte-Carlo harness: repeated randomized-phase simulations on top of
-//! `nd-sim`, for the statistics the closed-form analysis cannot give
+//! Monte-Carlo harness: repeated randomized-phase simulations on
+//! `nd-netsim`, for the statistics the closed-form analysis cannot give
 //! (collisions among S > 2 devices, fault injection, reactive protocols).
 
 use nd_core::schedule::Schedule;
 use nd_core::time::Tick;
-use nd_sim::{Behavior, ScheduleBehavior, SimConfig, Simulator, Topology};
+use nd_netsim::{CohortReport, NetSimulator, NodeSpec};
+use nd_sim::{Behavior, ScheduleBehavior, SimConfig, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Which discovery completion a pair trial waits for: `OneWay` is device 1
+/// discovering device 0 (Theorem 5.4), `EitherWay` either direction
+/// (Appendix C), `TwoWay` both directions (Theorems 5.5/5.7).
+pub use nd_netsim::PairMetric;
 
 /// Summary statistics over a set of per-trial latencies.
 #[derive(Clone, Debug)]
@@ -64,17 +70,6 @@ impl LatencySummary {
     }
 }
 
-/// Which discovery completion a pair trial waits for.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PairMetric {
-    /// Device 1 discovers device 0 (unidirectional, Theorem 5.4).
-    OneWay,
-    /// Either direction succeeds (Appendix C metric).
-    EitherWay,
-    /// Both directions succeed (Theorems 5.5/5.7 metric).
-    TwoWay,
-}
-
 /// Run `trials` pair simulations with independently random phases for both
 /// schedules; returns per-trial latency (None if not discovered within the
 /// configured horizon).
@@ -95,15 +90,11 @@ pub fn pair_trials(
             .seed
             .wrapping_add(trial as u64)
             .wrapping_mul(0x5851_f42d_4c95_7f2d);
-        let mut sim = Simulator::new(cfg_t, Topology::full(2));
-        sim.add_device(Box::new(ScheduleBehavior::with_phase(
-            sched_a.clone(),
-            phase_a,
-        )));
-        sim.add_device(Box::new(ScheduleBehavior::with_phase(
-            sched_b.clone(),
-            phase_b,
-        )));
+        let mut sim = NetSimulator::new(cfg_t, Topology::full(2));
+        for (sched, phase) in [(sched_a, phase_a), (sched_b, phase_b)] {
+            let behavior = ScheduleBehavior::with_phase(sched.clone(), phase);
+            sim.add_node(NodeSpec::always_on(Box::new(behavior)));
+        }
         sim.stop_when_all_discovered(matches!(metric, PairMetric::TwoWay));
         let report = sim.run();
         let latency = match metric {
@@ -114,17 +105,6 @@ pub fn pair_trials(
         out.push(latency);
     }
     out
-}
-
-/// Run one simulation with `behaviors.len()` devices (arbitrary reactive
-/// behaviours) and return the report.
-pub fn run_group(behaviors: Vec<Box<dyn Behavior>>, cfg: &SimConfig) -> nd_sim::SimReport {
-    let n = behaviors.len();
-    let mut sim = Simulator::new(cfg.clone(), Topology::full(n));
-    for b in behaviors {
-        sim.add_device(b);
-    }
-    sim.run()
 }
 
 /// Fraction of pair discoveries (over random phases) completing within
@@ -144,34 +124,17 @@ pub fn group_success_rate(
     for trial in 0..trials {
         let mut cfg_t = cfg.clone();
         cfg_t.seed = cfg.seed.wrapping_add(0x1000 + trial as u64);
-        let mut sim = Simulator::new(cfg_t, Topology::full(s));
+        let mut sim = NetSimulator::new(cfg_t, Topology::full(s));
         for _ in 0..s {
             let phase = random_phase(schedule, &mut rng);
             let base = ScheduleBehavior::with_phase(schedule.clone(), phase);
-            match jitter {
-                Some(j) => {
-                    sim.add_device(Box::new(nd_protocols::Jittered::new(base, j)));
-                }
-                None => {
-                    sim.add_device(Box::new(base));
-                }
-            }
+            let behavior: Box<dyn Behavior> = match jitter {
+                Some(j) => Box::new(nd_protocols::Jittered::new(base, j)),
+                None => Box::new(base),
+            };
+            sim.add_node(NodeSpec::always_on(behavior));
         }
-        let report = sim.run();
-        for a in 0..s {
-            for b in 0..s {
-                if a != b {
-                    attempts += 1;
-                    if report
-                        .discovery
-                        .one_way(a, b)
-                        .is_some_and(|t| t <= deadline)
-                    {
-                        successes += 1;
-                    }
-                }
-            }
-        }
+        count_discovered(&sim.run(), deadline, &mut attempts, &mut successes);
     }
     successes as f64 / attempts as f64
 }
@@ -191,27 +154,36 @@ pub fn group_success_rate_factory(
     for trial in 0..trials {
         let mut cfg_t = cfg.clone();
         cfg_t.seed = cfg.seed.wrapping_add(0x2000 + trial as u64);
-        let mut sim = Simulator::new(cfg_t, Topology::full(s));
+        let mut sim = NetSimulator::new(cfg_t, Topology::full(s));
         for dev in 0..s {
-            sim.add_device(make(trial, dev));
+            sim.add_node(NodeSpec::always_on(make(trial, dev)));
         }
-        let report = sim.run();
-        for a in 0..s {
-            for b in 0..s {
-                if a != b {
-                    attempts += 1;
-                    if report
-                        .discovery
-                        .one_way(a, b)
-                        .is_some_and(|t| t <= deadline)
-                    {
-                        successes += 1;
-                    }
-                }
+        count_discovered(&sim.run(), deadline, &mut attempts, &mut successes);
+    }
+    successes as f64 / attempts as f64
+}
+
+/// Add a run's ordered pairs to `attempts`, and those discovered by
+/// `deadline` to `successes`.
+fn count_discovered(
+    report: &CohortReport,
+    deadline: Tick,
+    attempts: &mut u64,
+    successes: &mut u64,
+) {
+    let n = report.len();
+    for a in 0..n {
+        for b in (0..n).filter(|&b| b != a) {
+            *attempts += 1;
+            if report
+                .discovery
+                .one_way(a, b)
+                .is_some_and(|t| t <= deadline)
+            {
+                *successes += 1;
             }
         }
     }
-    successes as f64 / attempts as f64
 }
 
 fn random_phase(schedule: &Schedule, rng: &mut StdRng) -> Tick {

@@ -6,7 +6,7 @@
 //! 1. the coverage-map sweep ([`crate::exact::one_way_worst_case`]),
 //! 2. the naive beacon-walk oracle
 //!    ([`crate::exact::naive_first_discovery`]),
-//! 3. the event-driven simulator (`nd-sim`).
+//! 3. the event-driven simulator (`nd-netsim`, an always-on pair).
 //!
 //! [`cross_validate`] runs all three over a grid of phases and reports any
 //! disagreement — the repository's deepest correctness check, used by the
@@ -16,7 +16,8 @@ use crate::exact::{naive_first_discovery, one_way_coverage, AnalysisConfig};
 use nd_core::error::NdError;
 use nd_core::schedule::Schedule;
 use nd_core::time::Tick;
-use nd_sim::{ScheduleBehavior, SimConfig, Simulator, Topology};
+use nd_netsim::{NetSimulator, NodeSpec};
+use nd_sim::{ScheduleBehavior, SimConfig, Topology};
 
 /// The outcome of a cross-validation run.
 #[derive(Clone, Debug)]
@@ -79,15 +80,14 @@ pub fn cross_validate(
         sim_cfg.overlap = cfg.model;
         sim_cfg.collisions = false;
         sim_cfg.half_duplex = false;
-        let mut sim = Simulator::new(sim_cfg, Topology::full(2));
-        sim.add_device(Box::new(ScheduleBehavior::new(Schedule::tx_only(
-            beacons.clone(),
+        let mut sim = NetSimulator::new(sim_cfg, Topology::full(2));
+        sim.add_node(NodeSpec::always_on(Box::new(ScheduleBehavior::new(
+            Schedule::tx_only(beacons.clone()),
         ))));
-        sim.add_device(Box::new(ScheduleBehavior::with_phase(
+        sim.add_node(NodeSpec::always_on(Box::new(ScheduleBehavior::with_phase(
             Schedule::rx_only(windows.clone()),
             sim_phase,
-        )));
-        sim.stop_when_all_discovered(false);
+        ))));
         let report = sim.run();
         let sim_t = report.discovery.one_way(1, 0);
         match (oracle, sim_t) {

@@ -16,9 +16,10 @@ use nd_analysis::montecarlo::LatencySummary;
 use nd_core::bounds::unidirectional_bound;
 use nd_core::schedule::Schedule;
 use nd_core::time::Tick;
+use nd_netsim::{NetSimulator, NodeSpec};
 use nd_protocols::aperiodic::{RandomScanner, SlidingScanner};
 use nd_protocols::optimal::{self, OptimalParams};
-use nd_sim::{Behavior, ScheduleBehavior, SimConfig, Simulator, Topology};
+use nd_sim::{Behavior, ScheduleBehavior, SimConfig, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -37,13 +38,13 @@ fn trial(make_scanner: &mut dyn FnMut() -> Box<dyn Behavior>, trials: usize) -> 
         let mut cfg = SimConfig::paper_baseline(horizon, 700 + t as u64);
         cfg.collisions = false;
         cfg.half_duplex = false;
-        let mut sim = Simulator::new(cfg, Topology::full(2));
+        let mut sim = NetSimulator::new(cfg, Topology::full(2));
         let phase = Tick(rng.gen_range(0..beacons.period().as_nanos()));
-        sim.add_device(Box::new(ScheduleBehavior::with_phase(
+        sim.add_node(NodeSpec::always_on(Box::new(ScheduleBehavior::with_phase(
             Schedule::tx_only(beacons.clone()),
             phase,
-        )));
-        sim.add_device(make_scanner());
+        ))));
+        sim.add_node(NodeSpec::always_on(make_scanner()));
         sim.stop_when_all_discovered(false);
         let report = sim.run();
         lat.push(report.discovery.one_way(1, 0));

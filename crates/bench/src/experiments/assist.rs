@@ -10,9 +10,10 @@
 use crate::table::{secs, Table};
 use nd_analysis::montecarlo::LatencySummary;
 use nd_core::time::Tick;
+use nd_netsim::{NetSimulator, NodeSpec};
 use nd_protocols::optimal::{symmetric, OptimalParams};
 use nd_protocols::MutualAssist;
-use nd_sim::{ScheduleBehavior, SimConfig, Simulator, Topology};
+use nd_sim::{ScheduleBehavior, SimConfig, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -30,16 +31,23 @@ fn trial_two_way(
         let mut cfg = SimConfig::paper_baseline(horizon, 400 + trial as u64);
         cfg.collisions = false;
         cfg.half_duplex = false;
-        let mut sim = Simulator::new(cfg, Topology::full(2));
+        let mut sim = NetSimulator::new(cfg, Topology::full(2));
         if assist {
-            sim.add_device(Box::new(MutualAssist::new(schedule.clone())));
-            sim.add_device(Box::new(MutualAssist::with_phase(schedule.clone(), phase)));
-        } else {
-            sim.add_device(Box::new(ScheduleBehavior::new(schedule.clone())));
-            sim.add_device(Box::new(ScheduleBehavior::with_phase(
+            sim.add_node(NodeSpec::always_on(Box::new(MutualAssist::new(
+                schedule.clone(),
+            ))));
+            sim.add_node(NodeSpec::always_on(Box::new(MutualAssist::with_phase(
                 schedule.clone(),
                 phase,
-            )));
+            ))));
+        } else {
+            sim.add_node(NodeSpec::always_on(Box::new(ScheduleBehavior::new(
+                schedule.clone(),
+            ))));
+            sim.add_node(NodeSpec::always_on(Box::new(ScheduleBehavior::with_phase(
+                schedule.clone(),
+                phase,
+            ))));
         }
         sim.stop_when_all_discovered(true);
         let report = sim.run();

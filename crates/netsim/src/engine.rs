@@ -1,22 +1,26 @@
-//! The N-node discrete-event engine.
+//! The discrete-event engine.
 //!
-//! [`NetSimulator`] generalizes the pairwise `nd_sim::Simulator` to a
-//! cohort: every node has a presence window (join/leave churn), its own
-//! RNG stream, and an arbitrary [`nd_sim::Behavior`]; the shared channel
-//! applies
-//! the paper's reception model (overlap geometry, half-duplex blanking,
-//! ALOHA collisions, fault injection). With two always-on nodes and the
-//! same configuration it reproduces the pairwise engine's receptions
-//! exactly — the two-node simulator is the N = 2 special case (the
-//! cross-validation tests pin this down).
+//! [`NetSimulator`] runs a cohort of nodes: every node has a presence
+//! window (join/leave churn), its own RNG stream, and an arbitrary
+//! [`nd_sim::Behavior`]; the shared channel applies the paper's reception
+//! model (overlap geometry, half-duplex blanking, ALOHA collisions, fault
+//! injection). A pair of always-on nodes ([`NodeSpec::always_on`]) is the
+//! pairwise simulation every Monte-Carlo harness runs; the
+//! cross-validation suite pins it against a direct enumeration of beacons
+//! and windows. Everything is deterministic given the seed. Reception is
+//! decided at packet *end*, when everything it depends on is known, but
+//! discovery latencies are recorded at packet *start*, the paper's
+//! convention of neglecting the final packet's airtime (§3.2, A.4). A
+//! run that reaches the horizon reports the horizon as its elapsed time.
 //!
 //! Protocols run on node-local timelines (0 = the node's join instant), so
 //! the same behaviour describes an early bird and a late joiner; clock
 //! drift composes underneath via [`nd_sim::Drifting`].
 //!
-//! The event core is built for scale: events flow through the
-//! hierarchical [`crate::wheel::TimingWheel`] (O(1) amortized at netsim's
-//! dense short-horizon mix), per-node state lives in the flat
+//! The event core is built for scale: events flow through a binary heap
+//! for cohorts below 8 nodes and the hierarchical
+//! [`crate::wheel::TimingWheel`] (O(1) amortized at netsim's dense
+//! short-horizon mix) from 8 nodes up, per-node state lives in the flat
 //! structure-of-arrays [`crate::node`] arena, and cohort completion is a
 //! per-cluster countdown (O(1) per reception) instead of an O(N²)
 //! matrix scan per event. Topologies that split into disconnected
@@ -203,8 +207,16 @@ pub struct NetSimulator {
 impl NetSimulator {
     /// Create a simulator; add nodes with [`NetSimulator::add_node`], then
     /// call [`NetSimulator::run`]. The config's `seed` roots every node's
-    /// private RNG stream.
+    /// private RNG stream. The event queue follows the node count — a
+    /// binary heap below 8 nodes, the timing wheel from 8 up, where each
+    /// measured faster — and both pop the same events in the same order.
     pub fn new(cfg: SimConfig, topo: Topology) -> Self {
+        let queue = EventQueue::for_nodes(topo.len());
+        Self::with_queue(cfg, topo, queue)
+    }
+
+    /// [`NetSimulator::new`] on a given event queue.
+    pub(crate) fn with_queue(cfg: SimConfig, topo: Topology, queue: EventQueue) -> Self {
         let n = topo.len();
         let cluster_label = topo.cluster_assignments();
         let mut cluster_of = vec![0u32; n];
@@ -229,7 +241,7 @@ impl NetSimulator {
             transmissions: VecDeque::new(),
             tx_base: 0,
             pending_ends: VecDeque::new(),
-            queue: EventQueue::new(),
+            queue,
             discovery: DiscoveryMatrix::new(n),
             packets: PacketCounters::default(),
             stop_when_complete: false,
@@ -262,14 +274,6 @@ impl NetSimulator {
         self.stop_when_complete = yes;
     }
 
-    /// Swap in the binary-heap reference queue (the implementation the
-    /// timing wheel replaced). An escape hatch for the wheel-vs-heap
-    /// equivalence suite and for bisection; call before
-    /// [`NetSimulator::run`].
-    pub fn use_heap_queue(&mut self) {
-        self.queue = EventQueue::new_heap();
-    }
-
     /// Run to completion and return the cohort report.
     ///
     /// The event loop is a profiling hook: processed events are flushed
@@ -277,7 +281,7 @@ impl NetSimulator {
     /// flush on drain** (so short shards are counted exactly), wheel
     /// pressure goes to the `netsim.wheel_depth_max` /
     /// `netsim.wheel_cascades` / `netsim.wheel_overflow_max` gauges
-    /// (`netsim.heap_depth_max` on the reference-heap path), the
+    /// (`netsim.heap_depth_max` on the heap), the
     /// end-of-run rate to `netsim.events_per_sec`, and (for standalone
     /// runs — the sweep pool's display takes priority inside a sweep)
     /// simulated time drives a stderr progress line toward `t_end`. None
@@ -303,10 +307,6 @@ impl NetSimulator {
         let wall_start = observing.then(std::time::Instant::now);
         let mut total_events: u64 = 0;
         let mut flushed: u64 = 0;
-        let mut depth_high: usize = 0;
-        // only the reference heap needs per-event depth sampling — the
-        // wheel tracks its own high-water internally
-        let track_depth = observing && self.queue.wheel_stats().is_none();
         // the per-event completed-cluster discard can only ever fire with 2+
         // clusters: a single cluster's completion exits the loop before the
         // next pop, so skip the owner lookup entirely on the common path
@@ -337,15 +337,10 @@ impl NetSimulator {
                     self.queue.advance(end);
                     self.handle_tx_end(idx);
                     total_events += 1;
-                    if observing {
-                        if track_depth {
-                            depth_high = depth_high.max(self.queue.len());
-                        }
-                        if total_events - flushed == FLUSH_EVERY {
-                            nd_obs::metrics::add("netsim.events", FLUSH_EVERY);
-                            flushed = total_events;
-                            progress.update(end.0);
-                        }
+                    if observing && total_events - flushed == FLUSH_EVERY {
+                        nd_obs::metrics::add("netsim.events", FLUSH_EVERY);
+                        flushed = total_events;
+                        progress.update(end.0);
                     }
                     continue;
                 }
@@ -388,15 +383,10 @@ impl NetSimulator {
                 }
             }
             total_events += 1;
-            if observing {
-                if track_depth {
-                    depth_high = depth_high.max(self.queue.len());
-                }
-                if total_events - flushed == FLUSH_EVERY {
-                    nd_obs::metrics::add("netsim.events", FLUSH_EVERY);
-                    flushed = total_events;
-                    progress.update(ev.at.0);
-                }
+            if observing && total_events - flushed == FLUSH_EVERY {
+                nd_obs::metrics::add("netsim.events", FLUSH_EVERY);
+                flushed = total_events;
+                progress.update(ev.at.0);
             }
         }
         if observing {
@@ -404,13 +394,14 @@ impl NetSimulator {
             // shorter than one flush interval (a 10⁶-node cohort is many
             // such shards — undercounting them skews the cohort gauges)
             nd_obs::metrics::add("netsim.events", total_events - flushed);
-            match self.queue.wheel_stats() {
-                Some((wheel_depth, cascades, overflow_max)) => {
-                    nd_obs::metrics::gauge_max("netsim.wheel_depth_max", wheel_depth as f64);
+            let (depth_max, wheel) = self.queue.stats();
+            match wheel {
+                Some((cascades, overflow_max)) => {
+                    nd_obs::metrics::gauge_max("netsim.wheel_depth_max", depth_max as f64);
                     nd_obs::metrics::add("netsim.wheel_cascades", cascades);
                     nd_obs::metrics::gauge_max("netsim.wheel_overflow_max", overflow_max as f64);
                 }
-                None => nd_obs::metrics::gauge_max("netsim.heap_depth_max", depth_high as f64),
+                None => nd_obs::metrics::gauge_max("netsim.heap_depth_max", depth_max as f64),
             }
             if let Some(start) = wall_start {
                 let secs = start.elapsed().as_secs_f64();
@@ -849,9 +840,14 @@ fn shift_op(op: Op, join: Tick, at_least: Tick) -> Op {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::churn::ChurnPlan;
+    use crate::event::WHEEL_MIN_NODES;
     use nd_core::params::RadioParams;
     use nd_core::schedule::{BeaconSeq, ReceptionWindows, Schedule};
     use nd_sim::ScheduleBehavior;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn radio(omega_us: u64) -> RadioParams {
         RadioParams::ideal(Tick::from_micros(omega_us), 1.0)
@@ -889,28 +885,22 @@ mod tests {
     }
 
     #[test]
-    fn always_on_pair_matches_pairwise_engine() {
-        // identical setup on both engines → identical receptions
+    fn always_on_pair_hears_beacons_inside_windows() {
+        // beacons every 100 µs from 10 µs, windows [0, 50) of every 200 µs:
+        // the first beacon lands in the first window, and every second
+        // beacon after it (10, 210, …) does too
         let mut net = NetSimulator::new(base_cfg(10), Topology::full(2));
         net.add_node(on(adv(100, 10)));
         net.add_node(on(scan(50, 200)));
-        let net_report = net.run();
-
-        let mut pair = nd_sim::Simulator::new(base_cfg(10), Topology::full(2));
-        pair.add_device(Box::new(ScheduleBehavior::new(adv(100, 10))));
-        pair.add_device(Box::new(ScheduleBehavior::new(scan(50, 200))));
-        let pair_report = pair.run();
-
+        let report = net.run();
+        assert_eq!(report.discovery.one_way(1, 0), Some(Tick::from_micros(10)));
         assert_eq!(
-            net_report.discovery.one_way(1, 0),
-            pair_report.discovery.one_way(1, 0)
+            report.discovery.one_way(0, 1),
+            None,
+            "the scanner is silent"
         );
-        assert_eq!(
-            net_report.discovery.one_way(1, 0),
-            Some(Tick::from_micros(10))
-        );
-        assert_eq!(net_report.packets.sent, pair_report.packets.sent);
-        assert_eq!(net_report.packets.received, pair_report.packets.received);
+        assert_eq!(report.packets.sent, 100);
+        assert_eq!(report.packets.received, 50);
     }
 
     #[test]
@@ -1052,28 +1042,118 @@ mod tests {
     }
 
     #[test]
+    fn queue_follows_node_count() {
+        let is_wheel = |n: usize| EventQueue::for_nodes(n).stats().1.is_some();
+        assert!(!is_wheel(2));
+        assert!(!is_wheel(WHEEL_MIN_NODES - 1));
+        assert!(is_wheel(WHEEL_MIN_NODES));
+    }
+
+    #[test]
     fn heap_and_wheel_engines_agree() {
-        let run = |heap: bool| {
+        let run = |queue: EventQueue| {
             let mut cfg = base_cfg(20);
             cfg.drop_probability = 0.2;
             cfg.seed = 7;
-            let mut net = NetSimulator::new(cfg, Topology::full(4));
-            if heap {
-                net.use_heap_queue();
-            }
+            let mut net = NetSimulator::with_queue(cfg, Topology::full(4), queue);
             for phase in [3u64, 31, 57] {
                 net.add_node(on(adv(97, phase)));
             }
             net.add_node(on(scan(53, 211)));
             net.run()
         };
-        let wheel = run(false);
-        let heap = run(true);
-        assert_eq!(wheel.events, heap.events);
-        assert_eq!(wheel.elapsed, heap.elapsed);
-        assert_eq!(wheel.packets, heap.packets);
-        assert_eq!(wheel.discovery, heap.discovery);
-        assert_eq!(wheel.stats, heap.stats);
+        assert_reports_equal(&run(EventQueue::wheel()), &run(EventQueue::heap()), "n=4");
+    }
+
+    fn assert_reports_equal(a: &CohortReport, b: &CohortReport, what: &str) {
+        assert_eq!(a.elapsed, b.elapsed, "{what}: elapsed");
+        assert_eq!(a.events, b.events, "{what}: events");
+        assert_eq!(a.discovery, b.discovery, "{what}: discovery");
+        assert_eq!(a.packets, b.packets, "{what}: packets");
+        assert_eq!(a.stats, b.stats, "{what}: stats");
+        assert_eq!(a.joins, b.joins, "{what}: joins");
+        assert_eq!(a.leaves, b.leaves, "{what}: leaves");
+        assert_eq!(a.cluster, b.cluster, "{what}: cluster");
+    }
+
+    /// One randomized symmetric cohort of the wheel-vs-heap property: one
+    /// beacon and one listening window per period, random phases,
+    /// staggered churn, stop at completion.
+    fn churn_cohort(
+        topo: &Topology,
+        seed: u64,
+        period_us: u64,
+        duty_pm: u64,
+        plan: &ChurnPlan,
+        queue: EventQueue,
+    ) -> CohortReport {
+        let period = Tick::from_micros(period_us);
+        let omega = Tick::from_micros(4);
+        let window = Tick(
+            (period.as_nanos() * duty_pm / 1000).clamp(omega.as_nanos() * 2, period.as_nanos() / 2),
+        );
+        let sched = Schedule::full(
+            BeaconSeq::uniform(1, period, omega, Tick::ZERO).unwrap(),
+            ReceptionWindows::single(Tick(period.as_nanos() / 2), window, period).unwrap(),
+        );
+        let mut cfg = base_cfg(30);
+        cfg.seed = seed;
+        let mut sim = NetSimulator::with_queue(cfg, topo.clone(), queue);
+        sim.stop_when_all_discovered(true);
+        for i in 0..topo.len() {
+            let phase = Tick(((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)) % period.as_nanos());
+            let behavior = ScheduleBehavior::with_phase(sched.clone(), phase);
+            sim.add_node(NodeSpec::windowed(
+                Box::new(behavior),
+                plan.joins[i],
+                plan.leaves[i],
+            ));
+        }
+        sim.run()
+    }
+
+    /// `n` cases, or `PROPTEST_CASES` when it is set.
+    fn cases(n: u32) -> ProptestConfig {
+        ProptestConfig::with_cases(
+            std::env::var("PROPTEST_CASES")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(n),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(cases(12))]
+
+        /// Cohorts at N ∈ {2, 8, 33} under randomized churn, as one full
+        /// mesh and as up to four clusters (each completing on its own):
+        /// the timing wheel and the binary heap must agree field for
+        /// field — any divergence in event order (collision outcomes,
+        /// half-duplex blanking, RNG draw order, early-stop instants)
+        /// shows up in the report.
+        #[test]
+        fn wheel_and_heap_reports_agree_under_churn(
+            seed in 0u64..1_000_000,
+            churn_seed in 0u64..1_000_000,
+            fraction in 0.0f64..0.8,
+            period_us in 300u64..3000,
+            duty_pm in 100u64..600,
+        ) {
+            for n in [2, 8, 33] {
+                let plan = ChurnPlan::staggered(
+                    n, fraction, Tick::from_millis(30), &mut StdRng::seed_from_u64(churn_seed));
+                let clusters = (n / 4).clamp(1, 4) as u32;
+                for topo in [
+                    Topology::full(n),
+                    Topology::clusters((0..n as u32).map(|i| i % clusters).collect()),
+                ] {
+                    let run = |queue| churn_cohort(&topo, seed, period_us, duty_pm, &plan, queue);
+                    let (wheel, heap) = (run(EventQueue::wheel()), run(EventQueue::heap()));
+                    assert_reports_equal(&wheel, &heap, &format!("n={n} {topo:?}"));
+                    prop_assert!(wheel.events > 0, "n={n}: the run must do something");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The event core: the timing-wheel queue and the logical clock.
+//! The event core: the event queue and the logical clock.
 //!
 //! Every state change of the network simulation is an [`Event`] popped off
 //! the [`EventQueue`] in `(time, sequence)` order. The sequence number
@@ -7,11 +7,12 @@
 //! runs reproducible byte for byte regardless of the host or of how many
 //! sweeps run in sibling threads.
 //!
-//! The queue is backed by the hierarchical [`crate::wheel::TimingWheel`]
-//! (O(1) amortized at netsim's dense, short-horizon event mix). The
-//! binary heap it replaced survives as [`EventQueue::new_heap`], the
-//! reference implementation the equivalence suite replays whole cohorts
-//! against — the two must produce byte-identical event sequences.
+//! Two backings pop byte-identical event sequences, and the engine picks
+//! one from the cohort size ([`EventQueue::for_nodes`]): a binary heap for
+//! small cohorts, whose few pending events make the heap's O(log n) cheap
+//! and the wheel's set-up cost dominant, and the hierarchical
+//! [`crate::wheel::TimingWheel`] (O(1) amortized at netsim's dense,
+//! short-horizon event mix) from [`WHEEL_MIN_NODES`] nodes up.
 //!
 //! Popping no longer advances the clock implicitly: the engine calls
 //! [`EventQueue::advance`] for events it *handles*, so events it discards
@@ -68,9 +69,24 @@ pub(crate) struct Event {
     pub kind: EventKind,
 }
 
+/// The smallest cohort that runs on the timing wheel; smaller cohorts run
+/// on the binary heap.
+///
+/// Measured with the `netsim_profile` example (optimal-slotless at
+/// η = 0.10, ω = 36 µs, 50 ms horizon, full mesh, stop at completion),
+/// medians of six interleaved runs per queue on a 2-vCPU Xeon host, one
+/// run in µs (heap vs wheel): N = 2 11.9 vs 20.5, N = 4 26.1 vs 36.0,
+/// N = 8 167 vs 177 (a tie inside the run-to-run spread, 122–192 vs
+/// 127–227), N = 17 470 vs 423, N = 33 1318 vs 1177. The wheel's fixed
+/// set-up cost decides small cohorts; the dense meshes favour the wheel;
+/// and 8 is the million-node cohort's neighbourhood size, whose shards
+/// stay on the wheel.
+pub(crate) const WHEEL_MIN_NODES: usize = 8;
+
 enum QueueImpl {
     Wheel(TimingWheel<EventKind>),
-    Heap(BinaryHeap<Reverse<Event>>),
+    /// The heap and its high-water mark.
+    Heap(BinaryHeap<Reverse<Event>>, usize),
 }
 
 /// Min-ordered event queue plus the simulation's logical clock.
@@ -85,20 +101,29 @@ pub(crate) struct EventQueue {
 }
 
 impl EventQueue {
-    /// The production queue: hierarchical timing wheel.
-    pub fn new() -> Self {
-        EventQueue {
-            q: QueueImpl::Wheel(TimingWheel::new()),
-            seq: 0,
-            now: Tick::ZERO,
+    /// The queue for a cohort of `nodes`: the binary heap below
+    /// [`WHEEL_MIN_NODES`], the timing wheel from there up.
+    pub fn for_nodes(nodes: usize) -> Self {
+        if nodes < WHEEL_MIN_NODES {
+            Self::heap()
+        } else {
+            Self::wheel()
         }
     }
 
-    /// The reference queue: the binary heap the wheel replaced. Kept for
-    /// the wheel-vs-heap equivalence suite (and as a bisection tool).
-    pub fn new_heap() -> Self {
+    /// A hierarchical timing wheel.
+    pub fn wheel() -> Self {
+        Self::with(QueueImpl::Wheel(TimingWheel::new()))
+    }
+
+    /// A binary heap.
+    pub fn heap() -> Self {
+        Self::with(QueueImpl::Heap(BinaryHeap::new(), 0))
+    }
+
+    fn with(q: QueueImpl) -> Self {
         EventQueue {
-            q: QueueImpl::Heap(BinaryHeap::new()),
+            q,
             seq: 0,
             now: Tick::ZERO,
         }
@@ -109,11 +134,14 @@ impl EventQueue {
         debug_assert!(at >= self.now, "event scheduled in the past");
         match &mut self.q {
             QueueImpl::Wheel(w) => w.push(at.0, self.seq, kind),
-            QueueImpl::Heap(h) => h.push(Reverse(Event {
-                at,
-                seq: self.seq,
-                kind,
-            })),
+            QueueImpl::Heap(h, depth_max) => {
+                h.push(Reverse(Event {
+                    at,
+                    seq: self.seq,
+                    kind,
+                }));
+                *depth_max = (*depth_max).max(h.len());
+            }
         }
         self.seq += 1;
     }
@@ -134,7 +162,7 @@ impl EventQueue {
     pub fn peek_key(&mut self) -> Option<(Tick, u64)> {
         match &mut self.q {
             QueueImpl::Wheel(w) => w.peek_key().map(|(at, seq)| (Tick(at), seq)),
-            QueueImpl::Heap(h) => h.peek().map(|Reverse(ev)| (ev.at, ev.seq)),
+            QueueImpl::Heap(h, _) => h.peek().map(|Reverse(ev)| (ev.at, ev.seq)),
         }
     }
 
@@ -147,7 +175,7 @@ impl EventQueue {
                 seq: e.seq,
                 kind: e.payload,
             }),
-            QueueImpl::Heap(h) => h.pop().map(|Reverse(ev)| ev),
+            QueueImpl::Heap(h, _) => h.pop().map(|Reverse(ev)| ev),
         }
     }
 
@@ -162,20 +190,12 @@ impl EventQueue {
         self.now
     }
 
-    /// Pending events (the depth the profiling gauge reports).
-    pub fn len(&self) -> usize {
+    /// Profiling counters: the most events ever pending, and on the
+    /// wheel its `(cascades, overflow_max)`.
+    pub fn stats(&self) -> (usize, Option<(u64, usize)>) {
         match &self.q {
-            QueueImpl::Wheel(w) => w.len(),
-            QueueImpl::Heap(h) => h.len(),
-        }
-    }
-
-    /// Wheel profiling counters `(depth_max, cascades, overflow_max)`;
-    /// `None` on the heap path.
-    pub fn wheel_stats(&self) -> Option<(usize, u64, usize)> {
-        match &self.q {
-            QueueImpl::Wheel(w) => Some((w.depth_max(), w.cascades(), w.overflow_max())),
-            QueueImpl::Heap(_) => None,
+            QueueImpl::Wheel(w) => (w.depth_max(), Some((w.cascades(), w.overflow_max()))),
+            QueueImpl::Heap(_, depth_max) => (*depth_max, None),
         }
     }
 }
@@ -186,7 +206,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::wheel();
         q.push(Tick(30), EventKind::Wake(0));
         q.push(Tick(10), EventKind::Wake(1));
         q.push(Tick(20), EventKind::Wake(2));
@@ -196,7 +216,7 @@ mod tests {
 
     #[test]
     fn equal_instants_fire_in_push_order() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::wheel();
         q.push(Tick(5), EventKind::Wake(9));
         q.push(Tick(5), EventKind::Join(1));
         q.push(Tick(5), EventKind::Leave(2));
@@ -209,7 +229,7 @@ mod tests {
 
     #[test]
     fn clock_is_monotone() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::wheel();
         q.push(Tick(10), EventKind::Wake(0));
         q.push(Tick(10), EventKind::Wake(1));
         q.push(Tick(40), EventKind::Wake(2));
@@ -231,8 +251,8 @@ mod tests {
     /// queue implementations, across every slot scale.
     #[test]
     fn wheel_and_heap_pop_identically() {
-        let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::new_heap();
+        let mut wheel = EventQueue::wheel();
+        let mut heap = EventQueue::heap();
         let mut state = 42u64;
         let mut next = move || {
             state ^= state << 13;
@@ -272,7 +292,8 @@ mod tests {
                 (a, b) => assert_eq!(a, b),
             }
         }
-        assert!(wheel.wheel_stats().is_some());
-        assert!(heap.wheel_stats().is_none());
+        assert!(wheel.stats().1.is_some());
+        assert!(heap.stats().1.is_none());
+        assert_eq!(wheel.stats().0, heap.stats().0, "same high-water mark");
     }
 }

@@ -1,15 +1,17 @@
-//! # nd-netsim — the multi-node discrete-event network simulator
+//! # nd-netsim — the discrete-event simulator
 //!
-//! The paper analyzes *pairwise* discovery; its collision model (Eq. 12)
-//! only bites once many nodes contend for one channel. This crate
-//! simulates an **N-node cohort**: a discrete-event core (hierarchical
-//! timing-wheel event queue + logical clock) advances nodes ([`node`]) whose
-//! radios share the paper's channel model — overlap geometry, half-duplex
-//! blanking, ALOHA collisions, fault injection — exactly as the pairwise
-//! `nd_sim::Simulator` does, so a two-node always-on run is the pairwise
-//! engine as a special case (the cross-validation tests assert this).
+//! Every simulation in the workspace runs here: the Monte-Carlo pair
+//! trials of `nd-analysis` and the sweep's `montecarlo` backend as an
+//! always-on pair ([`NodeSpec::always_on`]), the `netsim` backend and the
+//! million-node cohort as N contending nodes. A discrete-event core (an
+//! event queue picked by cohort size — binary heap for small cohorts,
+//! hierarchical timing wheel for large ones — plus a logical clock)
+//! advances nodes ([`node`]) whose radios share the paper's channel model
+//! from `nd-sim`: overlap geometry, half-duplex blanking, ALOHA
+//! collisions (Eq. 12), fault injection. The cross-validation suite pins a
+//! pair against a direct enumeration of beacons and windows.
 //!
-//! What the cohort adds on top:
+//! What cohorts add on top of a pair:
 //!
 //! * **churn** ([`churn`]) — nodes join and leave mid-run on declarative
 //!   [`ChurnPlan`]s;
@@ -20,7 +22,9 @@
 //!   derive the whole cohort's randomness from a job content hash;
 //! * **cohort metrics** ([`metrics`]) — first-contact, median-pair and
 //!   full-cohort discovery latencies measured from each pair's
-//!   co-presence start.
+//!   co-presence start;
+//! * **sharding** ([`shard`]) — disconnected neighbourhoods simulated
+//!   independently across worker threads, bit-identical to one run.
 //!
 //! The `nd-sweep` crate exposes all of this as the `netsim` sweep backend
 //! (`backend = "netsim"` with `nodes`, `churn` and `collision` grid axes).

@@ -9,7 +9,7 @@
 //!   `--trace-out`). The [`span!`] macro is the entry point.
 //! * [`metrics`] — a global registry of atomic counters, gauges and
 //!   log₂-scaled histograms, snapshot-able as deterministic-ordered
-//!   JSON (`nd-sweep report`, `nd-opt front --stats`,
+//!   JSON (`nd-sweep run --stats`, `nd-opt front --stats`,
 //!   `nd-sweep cache stats --json`).
 //! * [`progress`] — a slot-guarded stderr progress line with ETA,
 //!   driven by the sweep pool and the netsim event loop

@@ -6,7 +6,7 @@
 //! [`observe`], …) starts with a single relaxed load of the global enable
 //! flag and returns immediately when metrics are disabled, so hot paths
 //! pay one predictable branch. Enable collection with
-//! [`set_enabled`]`(true)` (the CLIs do this for `nd-sweep report`,
+//! [`set_enabled`]`(true)` (the CLIs do this for `nd-sweep run --stats`,
 //! `nd-opt front --stats` and `cache stats --json`).
 //!
 //! Metric naming convention (see the README's Observability section for
@@ -407,7 +407,7 @@ impl Drop for Timer {
 }
 
 /// Zero every registered metric (names stay registered). Tests and
-/// `nd-sweep report` call this to start from a clean slate.
+/// `nd-sweep run --stats` call this to start from a clean slate.
 pub fn reset() {
     let r = registry();
     for c in r.counters.read().unwrap().values() {

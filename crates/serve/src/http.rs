@@ -4,6 +4,9 @@
 //! Scope: exactly what the planning API needs. Request line + headers +
 //! `Content-Length` bodies, keep-alive (HTTP/1.1 default) with an idle
 //! read timeout, JSON responses. No chunked encoding, no TLS, no HTTP/2.
+//! Every part of a request is bounded — line length, header count, body
+//! size — so no client can grow a worker's buffers without limit; over a
+//! bound the answer is a 400 and the connection closes.
 //!
 //! Threading: one accept loop hands connections to a fixed pool of
 //! worker threads over a channel; each worker drives one connection at a
@@ -13,7 +16,7 @@
 //! the coalescing condvar or the idle-read timeout).
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -23,9 +26,23 @@ use std::time::Duration;
 /// specs are a few hundred bytes — a megabyte is already absurd.
 const MAX_BODY: usize = 1 << 20;
 
+/// Longest accepted request line or header line, line ending included.
+const MAX_LINE: usize = 8 << 10;
+
+/// Most header lines accepted on one request.
+const MAX_HEADERS: usize = 100;
+
 /// How long a keep-alive connection may sit idle between requests before
 /// the worker reclaims itself.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// After a 400, how long (and how many bytes) the worker keeps reading
+/// and discarding what the client still sends before closing: closing
+/// with unread input would reset the connection, and a reset can destroy
+/// the 400 before the client reads it.
+const LINGER: Duration = Duration::from_secs(1);
+/// The byte cap of that drain.
+const LINGER_BYTES: u64 = 1 << 20;
 
 /// One parsed HTTP request.
 #[derive(Debug)]
@@ -99,8 +116,7 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-enum ReadOutcome {
-    Request(Request),
+enum ReadError {
     /// Peer closed (or idled out) between requests — normal end of a
     /// keep-alive connection.
     Closed,
@@ -108,47 +124,59 @@ enum ReadOutcome {
     Malformed(String),
 }
 
-fn read_request(reader: &mut BufReader<TcpStream>) -> ReadOutcome {
+/// One line of the request head, read through a [`MAX_LINE`]-byte window.
+fn read_head_line(reader: &mut BufReader<TcpStream>) -> Result<String, ReadError> {
     let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) | Err(_) => return ReadOutcome::Closed,
-        Ok(_) => {}
+    match reader.by_ref().take(MAX_LINE as u64).read_line(&mut line) {
+        Ok(n) if n == MAX_LINE && !line.ends_with('\n') => Err(ReadError::Malformed(format!(
+            "request line or header over the {MAX_LINE}-byte limit"
+        ))),
+        // a line cut short by the end of input is a closed connection
+        Ok(_) if line.ends_with('\n') => Ok(line),
+        Ok(_) | Err(_) => Err(ReadError::Closed),
     }
+}
+
+fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadError> {
+    let line = read_head_line(reader)?;
     let mut parts = line.split_whitespace();
     let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
     else {
-        return ReadOutcome::Malformed("malformed request line".into());
+        return Err(ReadError::Malformed("malformed request line".into()));
     };
     if !version.starts_with("HTTP/1.") {
-        return ReadOutcome::Malformed(format!("unsupported protocol version `{version}`"));
+        return Err(ReadError::Malformed(format!(
+            "unsupported protocol version `{version}`"
+        )));
     }
     // HTTP/1.1 defaults to keep-alive; a Connection header overrides
     let mut keep_alive = version == "HTTP/1.1";
     let mut content_length = 0usize;
     let mut trace_id: Option<String> = None;
-    loop {
-        let mut header = String::new();
-        match reader.read_line(&mut header) {
-            Ok(0) | Err(_) => return ReadOutcome::Closed,
-            Ok(_) => {}
-        }
+    for headers in 0.. {
+        let header = read_head_line(reader)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
         }
+        if headers == MAX_HEADERS {
+            return Err(ReadError::Malformed(format!(
+                "more than {MAX_HEADERS} headers"
+            )));
+        }
         let Some((name, value)) = header.split_once(':') else {
-            return ReadOutcome::Malformed(format!("malformed header `{header}`"));
+            return Err(ReadError::Malformed(format!("malformed header `{header}`")));
         };
         let value = value.trim();
         match name.to_ascii_lowercase().as_str() {
             "content-length" => match value.parse::<usize>() {
                 Ok(n) if n <= MAX_BODY => content_length = n,
                 Ok(_) => {
-                    return ReadOutcome::Malformed(format!(
+                    return Err(ReadError::Malformed(format!(
                         "request body over the {MAX_BODY}-byte limit"
-                    ))
+                    )))
                 }
-                Err(_) => return ReadOutcome::Malformed("bad Content-Length".into()),
+                Err(_) => return Err(ReadError::Malformed("bad Content-Length".into())),
             },
             "connection" => keep_alive = !value.eq_ignore_ascii_case("close"),
             "x-nd-trace-id" if !value.is_empty() => trace_id = Some(value.to_string()),
@@ -157,17 +185,17 @@ fn read_request(reader: &mut BufReader<TcpStream>) -> ReadOutcome {
     }
     let mut body = vec![0u8; content_length];
     if reader.read_exact(&mut body).is_err() {
-        return ReadOutcome::Closed;
+        return Err(ReadError::Closed);
     }
     let Ok(body) = String::from_utf8(body) else {
-        return ReadOutcome::Malformed("request body is not UTF-8".into());
+        return Err(ReadError::Malformed("request body is not UTF-8".into()));
     };
     let (path, query) = match path.split_once('?') {
         Some((p, q)) if !q.is_empty() => (p, Some(q.to_string())),
         Some((p, _)) => (p, None),
         None => (path, None),
     };
-    ReadOutcome::Request(Request {
+    Ok(Request {
         method: method.to_string(),
         path: path.to_string(),
         query,
@@ -290,13 +318,16 @@ where
     let mut reader = BufReader::new(stream);
     loop {
         match read_request(&mut reader) {
-            ReadOutcome::Closed => return,
-            ReadOutcome::Malformed(message) => {
+            Err(ReadError::Closed) => return,
+            Err(ReadError::Malformed(message)) => {
                 let body = crate::api::ApiError::BadRequest(message).to_body();
                 let _ = write_response(&mut writer, &Response::json(400, body), false);
+                let _ = writer.shutdown(Shutdown::Write);
+                let _ = reader.get_ref().set_read_timeout(Some(LINGER));
+                let _ = std::io::copy(&mut reader.take(LINGER_BYTES), &mut std::io::sink());
                 return;
             }
-            ReadOutcome::Request(req) => {
+            Ok(req) => {
                 let resp = handler(&req);
                 let keep_alive = req.keep_alive && !shutdown.load(Ordering::SeqCst);
                 if write_response(&mut writer, &resp, keep_alive).is_err() || !keep_alive {

@@ -309,6 +309,44 @@ fn error_taxonomy_over_the_wire() {
     );
 }
 
+/// Request heads are bounded: an over-long request line, an over-long
+/// header and one header too many each get a 400 `bad-request` and a
+/// closed connection, while 100 headers still pass and a normal request
+/// on a fresh connection still succeeds.
+#[test]
+fn oversized_request_heads_are_rejected() {
+    let _quiet = shared();
+    let server = TestServer::start(OptOptions::uncached());
+    let long = "a".repeat(9 << 10);
+    let headers =
+        |n: usize| -> String { (0..n).map(|i| format!("X-Filler-{i}: {i}\r\n")).collect() };
+    for head in [
+        format!("GET /{long} HTTP/1.1\r\n\r\n"),
+        format!("GET /healthz HTTP/1.1\r\nX-Long: {long}\r\n\r\n"),
+        format!("GET /healthz HTTP/1.1\r\n{}\r\n", headers(101)),
+    ] {
+        let mut stream = TcpStream::connect(server.addr).unwrap();
+        stream.write_all(head.as_bytes()).unwrap();
+        // the server answers, then closes: read to the end
+        let mut answer = String::new();
+        stream.read_to_string(&mut answer).unwrap();
+        assert!(answer.starts_with("HTTP/1.1 400 "), "{answer}");
+        assert!(answer.contains("bad-request"), "{answer}");
+    }
+    let mut stream = TcpStream::connect(server.addr).unwrap();
+    let head = format!(
+        "GET /healthz HTTP/1.1\r\n{}Connection: close\r\n\r\n",
+        headers(99)
+    );
+    stream.write_all(head.as_bytes()).unwrap();
+    let mut answer = String::new();
+    stream.read_to_string(&mut answer).unwrap();
+    assert!(answer.starts_with("HTTP/1.1 200 "), "{answer}");
+
+    let (status, body) = Client::connect(server.addr).send("GET", "/healthz", "");
+    assert_eq!(status, 200, "{body}");
+}
+
 /// A corrupt cache entry is a 500 `corrupt-cache`: the server reports
 /// damaged state instead of silently recomputing over it.
 #[test]

@@ -1,24 +1,24 @@
-//! # nd-sim — a discrete-event wireless simulator for neighbor discovery
+//! # nd-sim — the vocabulary of the simulated channel
 //!
-//! This crate is the experimental substrate for the reproduction of *On
-//! Optimal Neighbor Discovery* (SIGCOMM 2019). It simulates `N` duty-cycled
-//! radios on a single shared broadcast channel under exactly the model the
-//! paper analyzes:
+//! Every simulation in the reproduction of *On Optimal Neighbor Discovery*
+//! (SIGCOMM 2019) is written in the types of this crate and run by one
+//! engine, `nd-netsim`'s `NetSimulator` (a pair of always-on nodes is the
+//! pairwise case):
 //!
 //! * radios sleep, transmit beacons of airtime ω, or listen in reception
-//!   windows ([`behavior::Op`]);
-//! * a beacon is received when it meets the configured overlap model
-//!   (paper §3.2 default: beacon start inside a window; Appendix A.3
-//!   full-containment model available);
-//! * overlapping transmissions collide (ALOHA, Eq. 12), half-duplex radios
-//!   blank their own windows (Appendix A.5), and smoltcp-style fault
-//!   injection can drop packets randomly;
-//! * everything is deterministic given a seed.
-//!
-//! Protocols drive devices through the [`behavior::Behavior`] trait —
-//! static periodic schedules use [`behavior::ScheduleBehavior`], reactive
-//! protocols (mutual assistance, BLE advDelay) implement the trait
-//! directly.
+//!   windows ([`behavior::Op`]), driven by [`behavior::Behavior`]s —
+//!   static periodic schedules use [`behavior::ScheduleBehavior`],
+//!   reactive protocols (mutual assistance, BLE advDelay) implement the
+//!   trait directly, and [`drift::Drifting`] skews any of them;
+//! * [`config::SimConfig`] fixes the channel model the paper analyzes: a
+//!   beacon is received when it meets the overlap model (paper §3.2
+//!   default: beacon start inside a window; Appendix A.3 full containment
+//!   available), overlapping transmissions collide (ALOHA, Eq. 12),
+//!   half-duplex radios blank their own windows (Appendix A.5), and
+//!   smoltcp-style fault injection can drop packets; [`config::Topology`]
+//!   says who hears whom;
+//! * [`stats`] holds what a run measures: per-device airtime and energy,
+//!   the first-discovery matrix and the packet counters.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -26,13 +26,9 @@
 pub mod behavior;
 pub mod config;
 pub mod drift;
-pub mod engine;
 pub mod stats;
-pub mod trace;
 
 pub use behavior::{Behavior, IdleBehavior, Op, Payload, ScheduleBehavior};
 pub use config::{SimConfig, Topology};
 pub use drift::Drifting;
-pub use engine::Simulator;
-pub use stats::{DeviceStats, DiscoveryMatrix, LossReason, PacketCounters, SimReport};
-pub use trace::{render_timeline, TraceEvent};
+pub use stats::{DeviceStats, DiscoveryMatrix, PacketCounters};

@@ -4,7 +4,6 @@
 //! nd-sweep run <spec.toml> [--out-dir DIR] [--format csv|json|both]
 //!              [--threads N] [--no-cache] [--cache-dir DIR] [--quiet]
 //!              [--stats] [--trace-out FILE]
-//! nd-sweep report <spec.toml> [...]   # legacy spelling of `run --stats`
 //! nd-sweep expand <spec.toml>      # list the jobs a spec would run
 //! nd-sweep hash <spec.toml>        # print the spec's content hash
 //! nd-sweep protocols               # list registry protocol names
@@ -22,12 +21,7 @@ fn main() -> ExitCode {
     }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
-        Some("run") => cmd_run(&args[1..], false),
-        Some("report") => {
-            // old spelling of `run --stats`; keep it working, say so once
-            eprintln!("nd-sweep: note: `report` is now `run --stats` (behavior unchanged)");
-            cmd_run(&args[1..], true)
-        }
+        Some("run") => cmd_run(&args[1..]),
         Some("expand") => cmd_expand(&args[1..]),
         Some("hash") => cmd_hash(&args[1..]),
         Some("protocols") => cmd_protocols(),
@@ -77,9 +71,6 @@ Backends:
 
 USAGE:
     nd-sweep run <spec.toml|spec.json> [OPTIONS]
-    nd-sweep report <spec> [OPTIONS]
-                                legacy spelling of `run --stats` (still
-                                works; prints a one-line notice on stderr)
     nd-sweep expand <spec>      list the jobs the spec expands to
     nd-sweep hash <spec>        print the spec's content hash
     nd-sweep protocols          list protocol registry names
@@ -99,7 +90,7 @@ USAGE:
     nd-sweep --version          print version + engine/cache ABI, then exit
     nd-sweep --help             print this help, then exit
 
-OPTIONS (run, report):
+OPTIONS (run):
     --stats            run with metrics collection on and print a
                        deterministic JSON snapshot of the registry (cache
                        hit/miss, per-backend work, pool latency) to
@@ -141,14 +132,14 @@ fn positional(args: &[String]) -> Option<&String> {
 }
 
 /// `run` and `run --stats` share everything but metrics collection and
-/// where the summary goes: `--stats` (canonical across nd-sweep, nd-opt
-/// and nd-serve; `report` is the legacy spelling) turns the registry on,
-/// keeps stdout clean for the JSON snapshot (summary → stderr), and
-/// exports nothing unless a `--format` is given explicitly.
-fn cmd_run(args: &[String], stats: bool) -> ExitCode {
+/// where the summary goes: `--stats` (spelled the same across nd-sweep,
+/// nd-opt and nd-serve) turns the registry on, keeps stdout clean for the
+/// JSON snapshot (summary → stderr), and exports nothing unless a
+/// `--format` is given explicitly.
+fn cmd_run(args: &[String]) -> ExitCode {
     // single pass: flags consume their values, the remaining positional is
     // the spec path (so `run --threads 4 spec.toml` parses correctly)
-    let mut report = stats;
+    let mut report = false;
     let mut opts = SweepOptions::default();
     let mut out_dir = PathBuf::from(".");
     let mut format: Option<String> = None;
@@ -380,7 +371,7 @@ fn cmd_cache(args: &[String]) -> ExitCode {
             let stats = cache.stats();
             if json {
                 // route through the metrics registry so the snapshot shape
-                // matches `nd-sweep report` / `nd-opt --stats` output
+                // matches `nd-sweep run --stats` / `nd-opt --stats` output
                 nd_obs::metrics::set_enabled(true);
                 nd_obs::metrics::reset();
                 nd_obs::metrics::gauge_set("cache.entries", stats.entries as f64);

@@ -21,7 +21,7 @@ use nd_core::error::NdError;
 use nd_core::schedule::Schedule;
 use nd_core::time::Tick;
 use nd_netsim::{ChurnPlan, NetSimulator, NodeSpec, PairMetric};
-use nd_sim::{Behavior, Drifting, ScheduleBehavior, Simulator, Topology};
+use nd_sim::{Behavior, Drifting, ScheduleBehavior, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -482,15 +482,11 @@ fn exec_montecarlo(job: &Job, spec: &ScenarioSpec) -> Result<BTreeMap<String, f6
                 random_phase(period_b, &mut rng),
             ),
         };
-        let mut sim = Simulator::new(cfg, Topology::full(2));
-        sim.add_device(Box::new(Drifting::ppm(
-            ScheduleBehavior::with_phase(sched_a.clone(), phase_a),
-            0,
-        )));
-        sim.add_device(Box::new(Drifting::ppm(
-            ScheduleBehavior::with_phase(sched_b.clone(), phase_b),
-            job.drift_ppm,
-        )));
+        let mut sim = NetSimulator::new(cfg, Topology::full(2));
+        for (sched, phase, ppm) in [(&sched_a, phase_a, 0), (&sched_b, phase_b, job.drift_ppm)] {
+            let behavior = ScheduleBehavior::with_phase(sched.clone(), phase);
+            sim.add_node(NodeSpec::always_on(Box::new(Drifting::ppm(behavior, ppm))));
+        }
         sim.stop_when_all_discovered(spec.metric == Metric::TwoWay);
         let report = sim.run();
         latencies.push(match spec.metric {
@@ -499,12 +495,12 @@ fn exec_montecarlo(job: &Job, spec: &ScenarioSpec) -> Result<BTreeMap<String, f6
             Metric::TwoWay => report.discovery.two_way(0, 1),
         });
         let elapsed = report.elapsed.max(Tick(1));
-        eta_acc += report.devices[0].eta_with_overheads(elapsed, &radio);
-        energy_acc += report.devices[0].energy_joules(&radio, spec.radio.prx_mw * 1e-3);
+        eta_acc += report.stats[0].eta_with_overheads(elapsed, &radio);
+        energy_acc += report.stats[0].energy_joules(&radio, spec.radio.prx_mw * 1e-3);
         if job.has_role_b() {
             // only role-typed jobs report per-role columns
-            eta_b_acc += report.devices[1].eta_with_overheads(elapsed, &radio);
-            energy_b_acc += report.devices[1].energy_joules(&radio, spec.radio.prx_mw * 1e-3);
+            eta_b_acc += report.stats[1].eta_with_overheads(elapsed, &radio);
+            energy_b_acc += report.stats[1].energy_joules(&radio, spec.radio.prx_mw * 1e-3);
         }
         collision_acc += report.packets.collision_rate();
     }

@@ -5,13 +5,19 @@
 //! result (resolved parameters, backend, metric, radio, sim settings,
 //! engine version) and **not** of the surrounding grid — so two sweeps
 //! whose grids overlap share cache entries for the overlapping points, and
-//! per-job RNG seeds derived from the hash are reproducible everywhere.
+//! per-job RNG seeds derived from the same content are reproducible
+//! everywhere (and across engine versions: see [`Job::seed`]).
 
 use crate::hash::{sha256_hex, sha256_prefix_u64};
 use crate::spec::{Deadline, Horizon, ScenarioSpec, ENGINE_VERSION};
 use crate::value::Value;
 use nd_core::stable::StableEncode;
 use nd_core::time::Tick;
+
+/// The salt job seeds are derived under, in place of [`ENGINE_VERSION`]:
+/// the engine version current when the derivation was frozen. A seed
+/// names the experiment, not the engine that runs it.
+const SEED_SALT: &str = "nd-sweep/0.2.0/abi3";
 
 /// One fully resolved evaluation point.
 #[derive(Clone, Debug, PartialEq)]
@@ -128,7 +134,6 @@ impl Job {
                 spec.sim.collisions
             },
             drop_probability: self.drop_probability,
-            trace: false,
         }
     }
 
@@ -139,13 +144,24 @@ impl Job {
     /// impl, so a result-affecting field added to `SimConfig` enters the
     /// cache key the moment `base_sim_config` constructs it.
     pub fn canonical_bytes(&self, spec: &ScenarioSpec) -> Vec<u8> {
+        self.encode(spec, false)
+    }
+
+    /// [`Job::canonical_bytes`], or (`for_seed`) the frozen variant seeds
+    /// derive from: [`SEED_SALT`] in place of [`ENGINE_VERSION`], and a
+    /// `false` after the `SimConfig` where its retired `trace` flag was
+    /// encoded until abi4.
+    fn encode(&self, spec: &ScenarioSpec, for_seed: bool) -> Vec<u8> {
         let mut out = Vec::new();
-        ENGINE_VERSION.encode(&mut out);
+        if for_seed { SEED_SALT } else { ENGINE_VERSION }.encode(&mut out);
         spec.backend.name().encode(&mut out);
         spec.metric.name().encode(&mut out);
         spec.percentiles.encode(&mut out);
         spec.radio.prx_mw.encode(&mut out);
         self.base_sim_config(spec).encode(&mut out);
+        if for_seed {
+            false.encode(&mut out);
+        }
         spec.sim.trials.encode(&mut out);
         match spec.sim.horizon {
             Horizon::Fixed(t) => {
@@ -195,9 +211,12 @@ impl Job {
     }
 
     /// The job's deterministic RNG seed, derived from its content (and so
-    /// identical for the same point across different sweeps).
+    /// identical for the same point across different sweeps). It does not
+    /// follow [`ENGINE_VERSION`]: a version bump reruns cached jobs with
+    /// the same random draws, so the rows an engine change does not touch
+    /// stay bit for bit the same.
     pub fn seed(&self, spec: &ScenarioSpec) -> u64 {
-        let mut bytes = self.canonical_bytes(spec);
+        let mut bytes = self.encode(spec, true);
         bytes.extend_from_slice(b"/seed");
         sha256_prefix_u64(&bytes)
     }

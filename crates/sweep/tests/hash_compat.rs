@@ -6,7 +6,9 @@
 //!
 //! The pinned values below were captured from `nd-sweep hash` /
 //! `nd-sweep expand` on the commit immediately before the role axes
-//! landed (`fb563df`). If this test fails, symmetric users just lost
+//! landed (`fb563df`), and re-pinned deliberately when ENGINE_VERSION
+//! moved to abi4 (montecarlo jobs on the netsim engine, `SimConfig` without
+//! its `trace` flag). If this test fails, symmetric users just lost
 //! their cache: either restore hash equality or bump ENGINE_VERSION and
 //! re-pin deliberately.
 
@@ -24,72 +26,72 @@ fn scenario(name: &str) -> ScenarioSpec {
 const PINNED: &[(&str, &str, &[&str])] = &[
     (
         "drift-strip-rescue.toml",
-        "a99e39d086c1b0851149f883949c3fd04c5e6dc678d4a46cf9892fdfe5c50a92",
+        "54a9e290fc7bf7a7594a6746b585518be09e267424595a50ae29dc01cc956278",
         &[
-            "480bdd510472",
-            "cf6fccf74b76",
-            "62e0ba33fa64",
-            "07a47c23bff4",
+            "b4f2ddefbb39",
+            "f3b404c79bd6",
+            "1f2cb2d3c266",
+            "f6ae19744fca",
         ],
     ),
     (
         "fig5-slot-boundary-strips.toml",
-        "492127b617d01a8c62be558812dcd7289e38c911ec603f5c8cbec833259ba1dd",
+        "65688ada4f07210a2a080a6b9ee0110b64a9193f1e87f3f19ae9c53d3103524a",
         &[
-            "264e92b31979",
-            "246cb2dc646c",
-            "6af00312af57",
-            "1bbd698d7b78",
-            "8d2bb7f69cb8",
+            "a52ea89ac0ca",
+            "b53ea7116466",
+            "f1655dc117be",
+            "6dce8fe7e7b2",
+            "06f17ad3c009",
         ],
     ),
     (
         "fig6-asymmetry-cost.toml",
-        "3f484c6b1d9619a0153756b0ca4ce9585758333b6d53cacc304ad90f9ecee384",
+        "d1cb7bace9e9c2f067b5a8b6dd268ab6d944856956faa7d03c9f1c2b98d5445c",
         &[
-            "f97d3c60f831",
-            "7358a8750759",
-            "208fea5e843c",
-            "56bbdecf26f5",
-            "c8dc6d1207ea",
+            "a58181097468",
+            "95b633fc23ab",
+            "bb24f356ea3e",
+            "f126167a88a5",
+            "37bb9ed5cee0",
         ],
     ),
     (
         "netsim-churn-resilience.toml",
-        "fc6796cf87fb58f896c1018077ab6015eaca1e0b8308fa7d47a4cfc41a9ef790",
+        "22adf3323dc41e469ce2e4bd4c4dc1260f962d14df8514a80cbf0f364bb396a0",
         &[
-            "0e86b38eca8b",
-            "9f9e9aae60ea",
-            "9ddb042510c5",
-            "bfaad19e56bc",
-            "6b808761556b",
+            "b9167256e08b",
+            "e5aff7794593",
+            "1ea6783fac4a",
+            "61e2fb814de0",
+            "770c2116d3ef",
         ],
     ),
     (
         "netsim-cohort-scaling.toml",
-        "82a95558d4962f5896ab16491ec3de70b3c945d38fe8063c87181dd573f9c09c",
+        "5509ad459d99dc2c82d0e17c7c155af3c6d3ec69399f689adf187ea5117b8465",
         &[
-            "c8bc56cf3795",
-            "5528ac006d46",
-            "dc5120c52a80",
-            "79bdc8ffc380",
-            "8b35f66f2e33",
-            "445ffb6d9a66",
+            "f360e3d989bd",
+            "fc00ab578870",
+            "668d6770e44a",
+            "2cd3148ab574",
+            "7b53dd14d8db",
+            "1ffb24768ee8",
         ],
     ),
     (
         "pfail-self-blocking.toml",
-        "3b9fc900f2fb435ac9ddb4fbbe6e447f46f95e42a1280a8fc9f7884b1e117763",
-        &["9944f27489c8", "253f84859b1d"],
+        "a688bad7d2924f3aeb5df4e34bb75fa8e08408023bed8083bfb1d2fd23352ab0",
+        &["82be1dde9d78", "11cd8e01830f"],
     ),
     (
         "protocol-shootout.toml",
-        "85f05f386bfae5ffb0e26bdc50155243ebdc7956316e1ac55555500bc9a27a16",
+        "912a130b4196360bd9ab977e7a8a20cd6aadd765c542cc1895e16fb8f444114e",
         &[
-            "e97354136e75",
-            "880778ccf0aa",
-            "445c8ed9cd02",
-            "d319a249f916",
+            "d2c36265309c",
+            "b3b61581ee3a",
+            "a09ef5c6f684",
+            "70f8b4568bb8",
         ],
     ),
 ];

@@ -14,8 +14,9 @@
 use optimal_nd::analysis::{two_way_worst_case, AnalysisConfig};
 use optimal_nd::core::bounds::{asymmetric_bound, symmetric_bound};
 use optimal_nd::core::Tick;
+use optimal_nd::netsim::{NetSimulator, NodeSpec};
 use optimal_nd::protocols::optimal::{asymmetric, symmetric, OptimalParams};
-use optimal_nd::sim::{ScheduleBehavior, SimConfig, Simulator, Topology};
+use optimal_nd::sim::{ScheduleBehavior, SimConfig, Topology};
 
 fn main() {
     let omega = Tick::from_micros(36);
@@ -64,14 +65,14 @@ fn main() {
     let mut sim_cfg = SimConfig::paper_baseline(Tick(exact.as_nanos() * 2), 7);
     sim_cfg.collisions = false;
     sim_cfg.half_duplex = false;
-    let mut sim = Simulator::new(sim_cfg, Topology::full(2));
-    sim.add_device(Box::new(
+    let mut sim = NetSimulator::new(sim_cfg, Topology::full(2));
+    sim.add_node(NodeSpec::always_on(Box::new(
         ScheduleBehavior::new(sensor.schedule.clone()).labeled("sensor"),
-    ));
-    sim.add_device(Box::new(
+    )));
+    sim.add_node(NodeSpec::always_on(Box::new(
         ScheduleBehavior::with_phase(gateway.schedule.clone(), Tick::from_micros(7777))
             .labeled("gateway"),
-    ));
+    )));
     sim.stop_when_all_discovered(true);
     let report = sim.run();
     println!(
@@ -87,7 +88,7 @@ fn main() {
     );
     println!(
         "measured duty cycles: sensor η = {:.3} %, gateway η = {:.3} %",
-        report.devices[0].eta(report.elapsed, 1.0) * 100.0,
-        report.devices[1].eta(report.elapsed, 1.0) * 100.0
+        report.stats[0].eta(report.elapsed, 1.0) * 100.0,
+        report.stats[1].eta(report.elapsed, 1.0) * 100.0
     );
 }

@@ -12,8 +12,9 @@
 
 use optimal_nd::core::bounds::collision_probability;
 use optimal_nd::core::Tick;
+use optimal_nd::netsim::{NetSimulator, NodeSpec};
 use optimal_nd::protocols::pi::{BleAdvertiser, PiProtocol};
-use optimal_nd::sim::{ScheduleBehavior, SimConfig, Simulator, Topology};
+use optimal_nd::sim::{ScheduleBehavior, SimConfig, Topology};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -33,13 +34,13 @@ fn main() {
 
     let mut cfg = SimConfig::paper_baseline(horizon, 2024);
     cfg.drop_probability = drop_pct / 100.0;
-    let mut sim = Simulator::new(cfg, Topology::full(n_adv + 1));
+    let mut sim = NetSimulator::new(cfg, Topology::full(n_adv + 1));
     let scanner_id = 0;
-    sim.add_device(Box::new(
+    sim.add_node(NodeSpec::always_on(Box::new(
         ScheduleBehavior::new(ble.scanner().unwrap()).labeled("scanner"),
-    ));
+    )));
     for _ in 0..n_adv {
-        sim.add_device(Box::new(BleAdvertiser::new(ble.ta)));
+        sim.add_node(NodeSpec::always_on(Box::new(BleAdvertiser::new(ble.ta))));
     }
     let report = sim.run();
 
@@ -53,11 +54,11 @@ fn main() {
             "adv{:<7} {:>14} {:>12}",
             dev,
             t.map_or("never".to_string(), |t| t.to_string()),
-            report.devices[dev].n_tx
+            report.stats[dev].n_tx
         );
     }
 
-    let beta_each = report.devices[1].beta(report.elapsed);
+    let beta_each = report.stats[1].beta(report.elapsed);
     let predicted_pc = collision_probability(n_adv as u32, beta_each);
     println!("\npackets sent:        {}", report.packets.sent);
     println!("receptions:          {}", report.packets.received);

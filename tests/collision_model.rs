@@ -4,9 +4,10 @@
 
 use optimal_nd::core::bounds::collision_probability;
 use optimal_nd::core::{BeaconSeq, Schedule, Tick};
+use optimal_nd::netsim::{NetSimulator, NodeSpec};
 use optimal_nd::protocols::optimal::{self, OptimalParams};
 use optimal_nd::protocols::Jittered;
-use optimal_nd::sim::{ScheduleBehavior, SimConfig, Simulator, Topology};
+use optimal_nd::sim::{ScheduleBehavior, SimConfig, Topology};
 
 /// Jittered advertisers against a full-time listener: each beacon is sent
 /// at an effectively uniform random instant, so the fraction lost to
@@ -18,7 +19,7 @@ fn aloha_collision_rate_matches_eq12() {
     let period = Tick::from_millis(2); // β = 1.8 % per advertiser
     let mut cfg = SimConfig::paper_baseline(Tick::from_secs(4), 71);
     cfg.half_duplex = false; // pure listener; advertisers never listen
-    let mut sim = Simulator::new(cfg, Topology::full(s + 1));
+    let mut sim = NetSimulator::new(cfg, Topology::full(s + 1));
     // device 0: always-on listener
     let listener = Schedule::rx_only(
         optimal_nd::core::ReceptionWindows::single(
@@ -28,12 +29,14 @@ fn aloha_collision_rate_matches_eq12() {
         )
         .unwrap(),
     );
-    sim.add_device(Box::new(ScheduleBehavior::new(listener)));
+    sim.add_node(NodeSpec::always_on(Box::new(ScheduleBehavior::new(
+        listener,
+    ))));
     for i in 0..s {
         let b = BeaconSeq::uniform(1, period, omega, Tick::from_micros(i as u64 * 53)).unwrap();
         let adv = ScheduleBehavior::new(Schedule::tx_only(b));
         // jitter by a full period: the Poisson-field idealization of Eq. 12
-        sim.add_device(Box::new(Jittered::new(adv, period)));
+        sim.add_node(NodeSpec::always_on(Box::new(Jittered::new(adv, period))));
     }
     let report = sim.run();
     let beta = omega.as_nanos() as f64 / period.as_nanos() as f64;
@@ -56,7 +59,7 @@ fn no_losses_without_collisions() {
     let mut cfg = SimConfig::paper_baseline(Tick::from_millis(500), 13);
     cfg.collisions = false;
     cfg.half_duplex = false;
-    let mut sim = Simulator::new(cfg, Topology::full(3));
+    let mut sim = NetSimulator::new(cfg, Topology::full(3));
     let listener = Schedule::rx_only(
         optimal_nd::core::ReceptionWindows::single(
             Tick::ZERO,
@@ -65,11 +68,15 @@ fn no_losses_without_collisions() {
         )
         .unwrap(),
     );
-    sim.add_device(Box::new(ScheduleBehavior::new(listener)));
+    sim.add_node(NodeSpec::always_on(Box::new(ScheduleBehavior::new(
+        listener,
+    ))));
     for i in 0..2 {
         let b =
             BeaconSeq::uniform(1, Tick::from_millis(1), omega, Tick::from_micros(i * 17)).unwrap();
-        sim.add_device(Box::new(ScheduleBehavior::new(Schedule::tx_only(b))));
+        sim.add_node(NodeSpec::always_on(Box::new(ScheduleBehavior::new(
+            Schedule::tx_only(b),
+        ))));
     }
     let report = sim.run();
     assert_eq!(report.packets.lost_collision, 0);
@@ -89,12 +96,14 @@ fn self_blocking_measured_at_predicted_magnitude() {
     for i in 0..40 {
         let phase = Tick(opt.schedule.windows.as_ref().unwrap().period().as_nanos() * i / 40);
         let cfg = SimConfig::paper_baseline(Tick(opt.predicted_latency.as_nanos() * 2), 5);
-        let mut sim = Simulator::new(cfg, Topology::full(2));
-        sim.add_device(Box::new(ScheduleBehavior::new(opt.schedule.clone())));
-        sim.add_device(Box::new(ScheduleBehavior::with_phase(
+        let mut sim = NetSimulator::new(cfg, Topology::full(2));
+        sim.add_node(NodeSpec::always_on(Box::new(ScheduleBehavior::new(
+            opt.schedule.clone(),
+        ))));
+        sim.add_node(NodeSpec::always_on(Box::new(ScheduleBehavior::with_phase(
             opt.schedule.clone(),
             phase,
-        )));
+        ))));
         let report = sim.run();
         total += 1;
         if report.packets.lost_self_blocking > 0 {
@@ -118,7 +127,7 @@ fn drop_probability_thins_receptions() {
     let omega = Tick::from_micros(36);
     let run = |p: f64| -> u64 {
         let cfg = SimConfig::paper_baseline(Tick::from_secs(1), 9).with_drop_probability(p);
-        let mut sim = Simulator::new(cfg, Topology::full(2));
+        let mut sim = NetSimulator::new(cfg, Topology::full(2));
         let listener = Schedule::rx_only(
             optimal_nd::core::ReceptionWindows::single(
                 Tick::ZERO,
@@ -127,9 +136,13 @@ fn drop_probability_thins_receptions() {
             )
             .unwrap(),
         );
-        sim.add_device(Box::new(ScheduleBehavior::new(listener)));
+        sim.add_node(NodeSpec::always_on(Box::new(ScheduleBehavior::new(
+            listener,
+        ))));
         let b = BeaconSeq::uniform(1, Tick::from_millis(1), omega, Tick::ZERO).unwrap();
-        sim.add_device(Box::new(ScheduleBehavior::new(Schedule::tx_only(b))));
+        sim.add_node(NodeSpec::always_on(Box::new(ScheduleBehavior::new(
+            Schedule::tx_only(b),
+        ))));
         sim.run().packets.received
     };
     let full = run(0.0);

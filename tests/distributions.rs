@@ -4,8 +4,9 @@
 use optimal_nd::analysis::montecarlo::{pair_trials, LatencySummary, PairMetric};
 use optimal_nd::analysis::{AnalysisConfig, LatencyDistribution};
 use optimal_nd::core::Tick;
+use optimal_nd::netsim::{NetSimulator, NodeSpec};
 use optimal_nd::protocols::optimal::{symmetric, OptimalParams};
-use optimal_nd::sim::{ScheduleBehavior, SimConfig, Simulator, Topology};
+use optimal_nd::sim::{ScheduleBehavior, SimConfig, Topology};
 
 #[test]
 fn exact_cdf_matches_simulation_quantiles() {
@@ -64,15 +65,17 @@ fn measured_energy_tracks_duty_cycle() {
     let opt = symmetric(OptimalParams::paper_default(), 0.05).unwrap();
     let horizon = Tick::from_secs(2);
     let cfg = SimConfig::paper_baseline(horizon, 3);
-    let mut sim = Simulator::new(cfg, Topology::full(2));
-    sim.add_device(Box::new(ScheduleBehavior::new(opt.schedule.clone())));
-    sim.add_device(Box::new(ScheduleBehavior::with_phase(
+    let mut sim = NetSimulator::new(cfg, Topology::full(2));
+    sim.add_node(NodeSpec::always_on(Box::new(ScheduleBehavior::new(
+        opt.schedule.clone(),
+    ))));
+    sim.add_node(NodeSpec::always_on(Box::new(ScheduleBehavior::with_phase(
         opt.schedule.clone(),
         Tick::from_micros(321),
-    )));
+    ))));
     let report = sim.run();
     let radio = optimal_nd::core::RadioParams::paper_default();
-    let energy = report.devices[0].energy_joules(&radio, 0.010);
+    let energy = report.stats[0].energy_joules(&radio, 0.010);
     let avg_power = energy / report.elapsed.as_secs_f64();
     let expected = 0.010 * 0.05; // P_rx · η
     assert!(
