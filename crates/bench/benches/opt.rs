@@ -143,7 +143,11 @@ fn write_summary() {
         "adaptive screening must reproduce the fixed-budget front bit for bit"
     );
     summary.record_rate("adaptive_front", "fronts", 1, adaptive_per_sec);
-    summary.record_gauge("adaptive_front", "speedup_x", adaptive_per_sec / fixed_per_sec);
+    summary.record_gauge(
+        "adaptive_front",
+        "speedup_x",
+        adaptive_per_sec / fixed_per_sec,
+    );
     summary.write("BENCH_opt.json");
 }
 

@@ -760,10 +760,7 @@ mod tests {
             constraints: vec![],
         };
         let err = candidate_at("custom", &space, &[1.5]).unwrap_err();
-        assert!(
-            err.0.contains("no `eta` axis"),
-            "typed, descriptive: {err}"
-        );
+        assert!(err.0.contains("no `eta` axis"), "typed, descriptive: {err}");
         assert!(err.0.contains("infeasible"), "classifiable: {err}");
     }
 

@@ -191,9 +191,7 @@ fn netsim_33_node_adaptive_front_is_identical_at_a_third_of_the_trials() {
     let adaptive_spec =
         OptSpec::from_toml_str(&format!("{NETSIM_33}{NETSIM_33_ADAPTIVE_KNOBS}")).unwrap();
     let trials = fixed_spec.base.sim.trials;
-    let screen = adaptive_spec
-        .adaptive
-        .resolved_screen_trials(trials);
+    let screen = adaptive_spec.adaptive.resolved_screen_trials(trials);
 
     let fixed = run_opt(&fixed_spec, &OptOptions::uncached()).unwrap();
     let adaptive = run_opt(&adaptive_spec, &OptOptions::uncached()).unwrap();

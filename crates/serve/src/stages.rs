@@ -233,3 +233,68 @@ impl Pipeline {
         })
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::service::Served;
+    use nd_opt::OptOptions;
+
+    /// The `spec` object of the serve-smoke front request.
+    const SPEC: &str = r#"{"name": "ci", "backend": "exact", "metric": "two-way",
+        "opt": {"protocols": ["optimal"], "seeds_per_axis": 3, "rounds": 1}}"#;
+
+    #[test]
+    fn one_pass_ingests_executes_and_prunes() {
+        let dir = std::env::temp_dir().join(format!("nd-serve-stages-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (spool, cache_dir) = (dir.join("spool"), dir.join("cache"));
+        std::fs::create_dir_all(&spool).unwrap();
+        std::fs::write(spool.join("front.json"), SPEC).unwrap();
+        std::fs::write(spool.join("broken.json"), "{ not json").unwrap();
+
+        let planner = Arc::new(Planner::new(
+            OptOptions {
+                threads: Some(1),
+                cache_dir: Some(cache_dir.clone()),
+                ..OptOptions::default()
+            },
+            16,
+        ));
+        let pipeline = Pipeline::new(vec![
+            Box::new(IngestStage::new(&spool)),
+            Box::new(ExecuteStage::new(Arc::clone(&planner))),
+            Box::new(PruneStage::new(ResultCache::at(&cache_dir), 1)),
+        ]);
+        let reports = pipeline.run_once();
+
+        let report = |id: &str| &reports.iter().find(|(s, _)| *s == id).unwrap().1;
+        let ingest = report("ingest");
+        assert_eq!((ingest.processed, ingest.failed), (1, 1));
+        assert!(
+            !spool.join("front.json").exists(),
+            "consumed spec is deleted"
+        );
+        assert!(!spool.join("broken.json").exists());
+        assert!(spool.join("broken.json.rejected").exists());
+        assert_eq!(report("execute").processed, 1);
+        assert!(
+            report("prune").processed > 0,
+            "the front's rows were cached"
+        );
+        assert_eq!(ResultCache::at(&cache_dir).stats().entries, 0);
+
+        // the memo outlives the pruned cache: the front is served warm
+        let spec = OptSpec::from_json_str(SPEC).unwrap();
+        let (result, served) = planner.front_document(&spec);
+        assert!(result.is_ok());
+        assert_eq!(
+            served,
+            Served {
+                memo: true,
+                coalesced: false
+            }
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

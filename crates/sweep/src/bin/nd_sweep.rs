@@ -7,7 +7,6 @@
 //! nd-sweep expand <spec.toml>      # list the jobs a spec would run
 //! nd-sweep hash <spec.toml>        # print the spec's content hash
 //! nd-sweep protocols               # list registry protocol names
-//! nd-sweep trace-check <t.jsonl>   # validate a span trace
 //! ```
 
 use nd_sweep::{expand, run_sweep, ResultCache, ScenarioSpec, SweepOptions, ENGINE_VERSION};
@@ -26,7 +25,6 @@ fn main() -> ExitCode {
         Some("hash") => cmd_hash(&args[1..]),
         Some("protocols") => cmd_protocols(),
         Some("cache") => cmd_cache(&args[1..]),
-        Some("trace-check") => cmd_trace_check(&args[1..]),
         Some("--version" | "-V" | "version") => {
             // one stable provenance line so scripted runs can record which
             // binary (and which cache ABI) produced their data
@@ -82,11 +80,6 @@ USAGE:
                                 LRU-evict down to N bytes (suffixes K/M/G;
                                 recency = last cache hit; --dry-run only
                                 prints the reclaimable bytes)
-    nd-sweep trace-check <trace.jsonl> [--expect-cover FRAC]
-                                validate a JSONL span trace: every line must
-                                parse, spans must nest properly per thread;
-                                with --expect-cover, Σ dur(sweep.job) must be
-                                within [FRAC, 2−FRAC] of dur(sweep.run)
     nd-sweep --version          print version + engine/cache ABI, then exit
     nd-sweep --help             print this help, then exit
 
@@ -432,66 +425,6 @@ fn parse_bytes(s: &str) -> Option<u64> {
         _ => (s, 1),
     };
     digits.parse::<u64>().ok().and_then(|n| n.checked_mul(mult))
-}
-
-/// `trace-check`: validate a JSONL span trace and (optionally) bound the
-/// fraction of `sweep.run` wall-clock covered by `sweep.job` spans.
-fn cmd_trace_check(args: &[String]) -> ExitCode {
-    let mut expect_cover: Option<f64> = None;
-    let mut trace_path: Option<&String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--expect-cover" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(f) if (0.0..=1.0).contains(&f) => expect_cover = Some(f),
-                _ => return fail("--expect-cover needs a fraction in [0, 1]"),
-            },
-            other if other.starts_with("--") => return fail(format!("unknown flag `{other}`")),
-            _ if trace_path.is_none() => trace_path = Some(arg),
-            other => return fail(format!("unexpected argument `{other}`")),
-        }
-    }
-    let Some(path) = trace_path else {
-        return fail("missing <trace.jsonl> argument");
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => return fail(format!("reading {path}: {e}")),
-    };
-    let report = match nd_sweep::tracecheck::check_trace(&text) {
-        Ok(r) => r,
-        Err(e) => return fail(format!("{path}: {e}")),
-    };
-    let cover_text = match report.job_cover {
-        Some(c) => format!("job cover {:.1}%", c * 100.0),
-        None => "no sweep.run span".to_string(),
-    };
-    println!(
-        "{path}: {} span(s) across {} thread(s), {} name(s); {cover_text}",
-        report.spans,
-        report.threads,
-        report.by_name.len(),
-    );
-    for (name, count) in &report.by_name {
-        println!(
-            "  {name}: {count} span(s), {} ns total",
-            report.dur_by_name[name]
-        );
-    }
-    if let Some(frac) = expect_cover {
-        // symmetric tolerance: cover must land within [frac, 2 − frac],
-        // so --expect-cover 0.9 means "within 10% of wall-clock"
-        let Some(cover) = report.job_cover else {
-            return fail("--expect-cover given, but the trace has no sweep.run span");
-        };
-        if cover < frac || cover > 2.0 - frac {
-            return fail(format!(
-                "job cover {cover:.4} outside the accepted window [{frac}, {:.4}]",
-                2.0 - frac
-            ));
-        }
-    }
-    ExitCode::SUCCESS
 }
 
 fn cmd_protocols() -> ExitCode {

@@ -46,7 +46,6 @@ pub mod grid;
 pub mod hash;
 pub mod pool;
 pub mod spec;
-pub mod tracecheck;
 pub mod value;
 
 pub use cache::{CacheError, CacheStats, CachedResult, GcReport, ResultCache};

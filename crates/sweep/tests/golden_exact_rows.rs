@@ -1,6 +1,6 @@
-//! Golden results for the exact, montecarlo and netsim backends: the rows
-//! `execute_job` returns for a set of canonical jobs, pinned as f64 bit
-//! patterns in `tests/golden/exact_rows.txt` together with the
+//! Golden results for the exact, montecarlo, netsim and bounds backends:
+//! the rows `execute_job` returns for a set of canonical jobs, pinned as
+//! f64 bit patterns in `tests/golden/exact_rows.txt` together with the
 //! `ENGINE_VERSION` they were captured at.
 //!
 //! The result cache is keyed by job content and `ENGINE_VERSION`, so a
@@ -43,6 +43,13 @@ macro_rules! montecarlo {
     };
 }
 
+/// A closed-form bounds job with the given `[grid]` lines.
+macro_rules! bounds {
+    ($grid:literal) => {
+        concat!("name = \"g\"\nbackend = \"bounds\"\n[grid]\n", $grid)
+    };
+}
+
 /// A netsim job, shaped like [`montecarlo!`].
 macro_rules! netsim {
     ($metric:literal, $grid:literal, $sim:literal) => {
@@ -60,8 +67,10 @@ macro_rules! netsim {
 /// `(case name, spec)`: every registry protocol at two duty cycles with
 /// percentiles on, then the two-way, Theorem 5.7 pair, overlap-model and
 /// heterogeneous-pair jobs; then montecarlo jobs (fault drops on and off,
-/// one-, either- and two-way, drift 0 and 20 ppm) and netsim cohorts of
-/// 2, 8 and 17 nodes (churn, collisions on and off).
+/// one-, either- and two-way, drift 0 and 20 ppm), netsim cohorts of
+/// 2, 8 and 17 nodes (churn, collisions on and off), and bounds rows: two
+/// Fig. 6 joint-budget points, Theorem 5.7 on an explicit (η_E, η_F)
+/// pair, and a ratio below 1 pinned as its error.
 const CASES: &[(&str, &str)] = &[
     ("optimal-0.02", one_way!("optimal-slotless", 0.02)),
     ("optimal-0.10", one_way!("optimal-slotless", 0.10)),
@@ -291,6 +300,16 @@ eta = [0.10]"#,
             "protocol = [\"optimal-slotless\"]\neta = [0.10]\neta_b = [0.05]\nmix = [0.25]\nnodes = [8]",
             "trials = 2"
         ),
+    ),
+    ("bounds-joint-0.05-r1", bounds!("eta = [0.05]\nratio = [1.0]")),
+    ("bounds-joint-0.05-r5", bounds!("eta = [0.05]\nratio = [5.0]")),
+    (
+        "bounds-pair-thm5.7",
+        bounds!("eta = [0.10]\neta_b = [0.05]"),
+    ),
+    (
+        "bounds-ratio-0.5-error",
+        bounds!("eta = [0.05]\nratio = [0.5]"),
     ),
 ];
 

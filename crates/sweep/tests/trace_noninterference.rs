@@ -83,31 +83,31 @@ fn nd_trace_changes_no_hashes_and_no_exports() {
     // and the trace itself is well-formed: parses as JSONL, spans nest,
     // and every job got a span
     let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-    let report = nd_sweep::tracecheck::check_trace(&text).expect("trace must validate");
-    assert_eq!(report.by_name["sweep.run"], 1);
-    assert_eq!(report.by_name["sweep.job"], 2);
-    assert_eq!(report.by_name["backend.exact"], 2);
+    let spans = nd_trace::parse_trace(&text).expect("trace must parse");
+    let forest = nd_trace::check(spans).expect("trace must validate");
+    let by_name = nd_trace::aggregate_by_name(&forest);
+    assert_eq!(by_name["sweep.run"].count, 1);
+    assert_eq!(by_name["sweep.job"].count, 2);
+    assert_eq!(by_name["backend.exact"].count, 2);
 
     // each exact evaluation explains its cost: how many phases and beacon
     // images the kernel ran and why it stopped (the uniform optimal
     // tiling covers, Disco's slot-boundary strips saturate)
-    let exact: Vec<&str> = text
-        .lines()
-        .filter(|l| l.contains("\"name\": \"backend.exact\""))
+    let exact: Vec<_> = forest
+        .nodes
+        .iter()
+        .filter(|n| n.span.name == "backend.exact")
+        .filter_map(|n| n.span.fields.as_ref()?.as_table())
         .collect();
-    for line in &exact {
+    assert_eq!(exact.len(), 2, "every backend.exact span carries fields");
+    for fields in &exact {
         for field in ["phases", "images", "beacons_needed", "exit"] {
-            assert!(
-                line.contains(&format!("\"{field}\": ")),
-                "{field} missing: {line}"
-            );
+            assert!(fields.contains_key(field), "{field} missing: {fields:?}");
         }
     }
     for exit in ["covered", "saturated"] {
         assert!(
-            exact
-                .iter()
-                .any(|l| l.contains(&format!("\"exit\": \"{exit}\""))),
+            exact.iter().any(|f| f["exit"].as_str() == Some(exit)),
             "no {exit} exit in {exact:?}"
         );
     }

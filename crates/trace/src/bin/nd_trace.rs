@@ -1,6 +1,7 @@
 //! The `nd-trace` CLI: analyse nd-obs span JSONL traces.
 //!
 //! ```text
+//! nd-trace check <t.jsonl> [--expect-cover FRAC]
 //! nd-trace critical-path <t.jsonl> [--min-attributed FRAC] [--ctx ID]
 //! nd-trace flame <t.jsonl> [--ctx ID] [--out FILE]
 //! nd-trace chrome <t.jsonl> [--ctx ID] [--out FILE]
@@ -8,8 +9,8 @@
 //! ```
 
 use nd_trace::{
-    build_forest, chrome_trace, critical_path, diff, filter_ctx, fmt_ns, folded_stacks,
-    parse_trace, SpanRec, TraceError,
+    aggregate_by_name, build_forest, check, chrome_trace, critical_path, diff, filter_ctx, fmt_ns,
+    folded_stacks, job_cover, parse_trace, SpanRec, TraceError,
 };
 use std::path::Path;
 use std::process::ExitCode;
@@ -21,6 +22,12 @@ Produce a trace with `ND_TRACE=t.jsonl <cmd>` or the CLIs' `--trace-out`,
 then ask where the time went.
 
 USAGE:
+    nd-trace check <t.jsonl> [--expect-cover FRAC]
+        Validate a trace: every line is a span record, and every span's
+        depth is the level it nests at on its thread.
+        --expect-cover FRAC     exit non-zero unless Σ dur(sweep.job) is
+                                within [FRAC, 2−FRAC] of Σ dur(sweep.run)
+
     nd-trace critical-path <t.jsonl> [OPTIONS]
         Attribute the trace's wall-clock: dominant span chain plus a
         per-name self-time ranking.
@@ -45,8 +52,8 @@ USAGE:
 
 EXIT STATUS:
     0  analysis done, gates (if any) passed
-    1  a gate tripped (--min-attributed / --fail-on-regress)
-    2  usage or I/O error
+    1  a gate tripped (--expect-cover / --min-attributed / --fail-on-regress)
+    2  usage or I/O error, or a malformed trace (any `check` failure)
 ";
 
 /// `say!` that ignores I/O errors: piping analytics into `head`
@@ -61,6 +68,7 @@ macro_rules! say {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
+        Some("check") => cmd_check(&args[1..]),
         Some("critical-path") => cmd_critical_path(&args[1..]),
         Some("flame") => cmd_flame(&args[1..]),
         Some("chrome") => cmd_chrome(&args[1..]),
@@ -123,18 +131,58 @@ fn take_opt(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, TraceE
     }
 }
 
-fn parse_f64(opt: Option<String>, flag: &str) -> Result<Option<f64>, TraceError> {
-    opt.map(|s| {
-        s.parse::<f64>()
-            .map_err(|_| TraceError(format!("{flag}: not a number: {s}")))
-    })
-    .transpose()
+/// Pull `--flag value` out of `args` as a gate threshold: a finite
+/// number in `[0, max]`. Every comparison with NaN is false, so an
+/// unchecked `nan` would turn its gate off.
+fn take_threshold(args: &mut Vec<String>, flag: &str, max: f64) -> Result<Option<f64>, TraceError> {
+    let parse = |s: String| match s.parse::<f64>() {
+        Ok(x) if x.is_finite() && (0.0..=max).contains(&x) => Ok(x),
+        _ => Err(TraceError(format!(
+            "{flag}: expected a finite number in [0, {max}], got `{s}`"
+        ))),
+    };
+    take_opt(args, flag)?.map(parse).transpose()
+}
+
+fn cmd_check(args: &[String]) -> ExitCode {
+    let mut args = args.to_vec();
+    let expect_cover = match take_threshold(&mut args, "--expect-cover", 1.0) {
+        Ok(v) => v,
+        Err(e) => return fail(e),
+    };
+    let [path] = args.as_slice() else {
+        return fail("check needs exactly one trace file (see --help)");
+    };
+    let forest = match load(path, None).and_then(check) {
+        Ok(f) => f,
+        Err(e) => return fail(e),
+    };
+    let by_name = aggregate_by_name(&forest);
+    let cover = job_cover(&by_name);
+    let cover_text = cover.map_or("no sweep.run time".into(), |c| {
+        format!("job cover {:.1}%", c * 100.0)
+    });
+    say!(
+        "{path}: {} spans, {} names; {cover_text}",
+        forest.nodes.len(),
+        by_name.len()
+    );
+    if let Some(frac) = expect_cover {
+        // a symmetric window: 0.9 accepts a cover within 10% of the run
+        let window = format!("[{frac}, {:.4}]", 2.0 - frac);
+        if !cover.is_some_and(|c| (frac..=2.0 - frac).contains(&c)) {
+            eprintln!("nd-trace: job cover gate FAILED: {cover_text}, outside {window}");
+            return ExitCode::FAILURE;
+        }
+        say!("job cover gate passed: within {window}");
+    }
+    ExitCode::SUCCESS
 }
 
 fn cmd_critical_path(args: &[String]) -> ExitCode {
     let mut args = args.to_vec();
     let (min_attr, ctx) = match (|| {
-        let m = parse_f64(take_opt(&mut args, "--min-attributed")?, "--min-attributed")?;
+        let m = take_threshold(&mut args, "--min-attributed", 1.0)?;
         let c = take_opt(&mut args, "--ctx")?;
         Ok::<_, TraceError>((m, c))
     })() {
@@ -256,11 +304,8 @@ fn cmd_chrome(args: &[String]) -> ExitCode {
 fn cmd_diff(args: &[String]) -> ExitCode {
     let mut args = args.to_vec();
     let (fail_pct, min_share) = match (|| {
-        let f = parse_f64(
-            take_opt(&mut args, "--fail-on-regress")?,
-            "--fail-on-regress",
-        )?;
-        let m = parse_f64(take_opt(&mut args, "--min-share")?, "--min-share")?;
+        let f = take_threshold(&mut args, "--fail-on-regress", f64::INFINITY)?;
+        let m = take_threshold(&mut args, "--min-share", 1.0)?;
         Ok::<_, TraceError>((f, m))
     })() {
         Ok(v) => v,

@@ -6,14 +6,20 @@
 //! the write side cannot: where did the wall-clock go
 //! ([`critical_path`]), what does the whole run look like as a
 //! flamegraph ([`folded_stacks`]) or in a trace viewer
-//! ([`chrome_trace`]), and did anything regress between two runs
-//! ([`diff`] — the `nd-trace diff --fail-on-regress` CI gate).
+//! ([`chrome_trace`]), did anything regress between two runs
+//! ([`diff`] — the `nd-trace diff --fail-on-regress` CI gate), and is
+//! the trace well-formed at all ([`check`] — the `nd-trace check` CI
+//! gate).
 //!
-//! Parsing is tolerant in both directions: unknown record types and
-//! unknown span fields are skipped, so older and newer traces both
-//! load. Tree building uses interval containment (not the recorded
-//! `depth`), so a trace filtered to one request id still forms valid
-//! trees even though the surviving spans' depths are sparse.
+//! There is one span grammar, the one nd-obs writes: every non-blank
+//! line is a JSON object with `t` = `"span"`, a string `name`, and
+//! non-negative integer `tid`, `start_ns`, `dur_ns` and `depth`; `ctx`,
+//! `fields` and any other key are optional. [`parse_trace`] is its only
+//! parser and rejects every other line. Tree building uses interval
+//! containment (not the recorded `depth`), so a trace filtered to one
+//! request id still forms valid trees even though the surviving spans'
+//! depths are sparse; [`check`] holds the recorded depths of a whole
+//! trace to those trees.
 //!
 //! Self-time — the quantity flamegraphs and the critical path report —
 //! is a span's duration minus the duration of its direct children
@@ -49,8 +55,8 @@ pub struct SpanRec {
     pub start_ns: u64,
     /// Duration in nanoseconds.
     pub dur_ns: u64,
-    /// Open-span count at entry (informational; trees are rebuilt from
-    /// intervals).
+    /// Open-span count on its thread at entry (trees are rebuilt from
+    /// intervals; [`check`] compares the two).
     pub depth: u64,
     /// The trace context (request id) stamped on the span, if any.
     pub ctx: Option<String>,
@@ -69,10 +75,9 @@ fn get_u64(t: &BTreeMap<String, Value>, key: &str) -> Option<u64> {
     t.get(key)?.as_i64().and_then(|v| u64::try_from(v).ok())
 }
 
-/// Parse span JSONL text into records. Lines whose record type `t` is
-/// not `"span"` are skipped (future record types); blank lines are
-/// ignored; malformed JSON or a span missing a required key is an
-/// error naming the line number.
+/// Parse span JSONL text into records. Blank lines are ignored; every
+/// other line must be a span record in the crate-level grammar, or the
+/// error names its line number.
 pub fn parse_trace(text: &str) -> Result<Vec<SpanRec>, TraceError> {
     let mut out = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -80,25 +85,27 @@ pub fn parse_trace(text: &str) -> Result<Vec<SpanRec>, TraceError> {
         if line.is_empty() {
             continue;
         }
-        let v = parse_json(line).map_err(|e| TraceError(format!("line {}: {}", lineno + 1, e)))?;
+        let err = |msg: String| TraceError(format!("line {}: {msg}", lineno + 1));
+        let v = parse_json(line).map_err(|e| err(format!("not valid JSON: {e}")))?;
         let t = v
             .as_table()
-            .ok_or_else(|| TraceError(format!("line {}: not a JSON object", lineno + 1)))?;
-        match t.get("t").and_then(Value::as_str) {
-            Some("span") => {}
-            _ => continue,
+            .ok_or_else(|| err("not a JSON object".to_string()))?;
+        if t.get("t").and_then(Value::as_str) != Some("span") {
+            return Err(err("not a span record (`t` must be \"span\")".to_string()));
         }
-        let missing = |key: &str| TraceError(format!("line {}: span missing {key:?}", lineno + 1));
+        let int = |key: &str| {
+            get_u64(t, key).ok_or_else(|| err(format!("span needs {key:?} as an integer ≥ 0")))
+        };
         out.push(SpanRec {
             name: t
                 .get("name")
                 .and_then(Value::as_str)
-                .ok_or_else(|| missing("name"))?
+                .ok_or_else(|| err("span missing string \"name\"".to_string()))?
                 .to_string(),
-            tid: get_u64(t, "tid").ok_or_else(|| missing("tid"))?,
-            start_ns: get_u64(t, "start_ns").ok_or_else(|| missing("start_ns"))?,
-            dur_ns: get_u64(t, "dur_ns").ok_or_else(|| missing("dur_ns"))?,
-            depth: get_u64(t, "depth").unwrap_or(0),
+            tid: int("tid")?,
+            start_ns: int("start_ns")?,
+            dur_ns: int("dur_ns")?,
+            depth: int("depth")?,
             ctx: t.get("ctx").and_then(Value::as_str).map(str::to_string),
             fields: t.get("fields").cloned(),
         });
@@ -121,7 +128,8 @@ pub struct Node {
 /// All spans of a trace as per-thread trees on one shared timeline.
 #[derive(Debug, Clone, Default)]
 pub struct Forest {
-    /// Every span, tree edges in [`Node::children`].
+    /// Every span, tree edges in [`Node::children`]; a parent comes
+    /// before its children.
     pub nodes: Vec<Node>,
     /// Indices of top-level spans (no enclosing span on their thread).
     pub roots: Vec<usize>,
@@ -136,7 +144,9 @@ pub struct Forest {
 /// span is a child of the innermost earlier span on its thread whose
 /// `[start, end]` interval contains it. The recorded `depth` only
 /// breaks start-time ties, so subsets (e.g. one request id) still
-/// build correctly.
+/// build correctly. Spans that tie on both are siblings, and all but
+/// the last of them closed the instant they opened, so the shorter
+/// goes first.
 pub fn build_forest(spans: Vec<SpanRec>) -> Forest {
     let mut forest = Forest::default();
     if spans.is_empty() {
@@ -151,7 +161,7 @@ pub fn build_forest(spans: Vec<SpanRec>) -> Forest {
         by_tid.entry(s.tid).or_default().push(s);
     }
     for (_tid, mut group) in by_tid {
-        group.sort_by_key(|s| (s.start_ns, s.depth, std::cmp::Reverse(s.dur_ns)));
+        group.sort_by_key(|s| (s.start_ns, s.depth, s.dur_ns));
         let mut stack: Vec<usize> = Vec::new();
         for span in group {
             // Unwind to the innermost open span that contains this one.
@@ -194,6 +204,58 @@ pub fn filter_ctx(spans: Vec<SpanRec>, ctx: &str) -> Vec<SpanRec> {
         .into_iter()
         .filter(|s| s.ctx.as_deref() == Some(ctx))
         .collect()
+}
+
+// ---------------------------------------------------------------------------
+// check
+// ---------------------------------------------------------------------------
+
+/// Rebuild a trace's span trees and validate them. A trace passes when
+/// it has at least one span, no two spans on one thread overlap without
+/// one containing the other, and every span's recorded `depth` equals
+/// its level in its thread's tree. The error names the offending span.
+pub fn check(spans: Vec<SpanRec>) -> Result<Forest, TraceError> {
+    if spans.is_empty() {
+        return Err(TraceError("trace contains no span records".into()));
+    }
+    let forest = build_forest(spans);
+    let nodes = &forest.nodes;
+    // build_forest re-parents a span that ends after the span it starts
+    // in, which leaves the two as overlapping siblings
+    let child_lists = nodes.iter().map(|n| &n.children);
+    for siblings in std::iter::once(&forest.roots).chain(child_lists) {
+        for pair in siblings.windows(2) {
+            let (a, b) = (&nodes[pair[0]].span, &nodes[pair[1]].span);
+            if a.tid == b.tid && a.end_ns() > b.start_ns {
+                return Err(TraceError(format!(
+                    "tid {}: span `{}` at {} ns overlaps `{}` without nesting in it",
+                    b.tid, b.name, b.start_ns, a.name
+                )));
+            }
+        }
+    }
+    let mut level = vec![0; nodes.len()];
+    for (i, Node { span, children, .. }) in nodes.iter().enumerate() {
+        if span.depth != level[i] {
+            return Err(TraceError(format!(
+                "tid {}: span `{}` at {} ns has depth {} but nests at level {}",
+                span.tid, span.name, span.start_ns, span.depth, level[i]
+            )));
+        }
+        for &c in children {
+            level[c] = level[i] + 1;
+        }
+    }
+    Ok(forest)
+}
+
+/// Job cover: Σ dur(`sweep.job`) / Σ dur(`sweep.run`), the share of a
+/// sweep's wall-clock its per-job spans account for. `None` when no
+/// `sweep.run` time was recorded.
+pub fn job_cover(by_name: &BTreeMap<String, NameStats>) -> Option<f64> {
+    let total = |name: &str| by_name.get(name).map_or(0, |s| s.total_ns);
+    let run = total("sweep.run");
+    (run > 0).then(|| total("sweep.job") as f64 / run as f64)
 }
 
 // ---------------------------------------------------------------------------
@@ -518,19 +580,93 @@ mod tests {
     }
 
     #[test]
-    fn parse_skips_unknown_types_and_errors_on_garbage() {
-        let text = format!(
-            "{}\n{{\"t\": \"future\", \"x\": 1}}\n\n{}",
-            line("a", 0, 0, 10, 0, None),
-            line("b", 0, 20, 10, 0, None)
-        );
-        let spans = parse_trace(&text).unwrap();
-        assert_eq!(spans.len(), 2);
+    fn parse_rejects_every_line_but_a_span_record() {
+        let a = line("a", 0, 0, 10, 0, None);
+        let b = line("b", 0, 20, 10, 0, None);
+        assert_eq!(parse_trace(&format!("{a}\n\n{b}\n")).unwrap().len(), 2);
+        let future = format!("{a}\n{{\"t\": \"future\", \"x\": 1}}\n\n{b}");
+        let err = parse_trace(&future).unwrap_err().0;
+        assert!(err.contains("line 2: not a span record"), "{err}");
         assert!(parse_trace("not json").is_err());
         assert!(parse_trace("{\"t\": \"span\"}")
             .unwrap_err()
             .0
             .contains("name"));
+        let no_depth = b.replace(", \"depth\": 0", "");
+        assert!(parse_trace(&no_depth).unwrap_err().0.contains("depth"));
+        let float_start = b.replace("\"start_ns\": 20", "\"start_ns\": 20.5");
+        assert!(parse_trace(&float_start)
+            .unwrap_err()
+            .0
+            .contains("start_ns"));
+    }
+
+    fn check_text(text: &str) -> Result<Forest, TraceError> {
+        parse_trace(text).and_then(check)
+    }
+
+    #[test]
+    fn check_accepts_a_well_nested_trace() {
+        let trace = [
+            line("sweep.expand", 0, 10, 5, 1, None),
+            line("sweep.job", 0, 20, 30, 1, None),
+            line("sweep.job", 0, 55, 40, 1, None),
+            line("sweep.run", 0, 0, 100, 0, None),
+        ]
+        .join("\n");
+        let forest = check_text(&trace).unwrap();
+        assert_eq!(forest.nodes.len(), 4);
+        assert_eq!(forest.roots.len(), 1);
+        let by_name = aggregate_by_name(&forest);
+        assert_eq!(by_name["sweep.job"].count, 2);
+        assert_eq!(job_cover(&by_name), Some(0.7));
+        // a zero-length span that closed the instant its sibling opened
+        let trace = [
+            line("p", 0, 0, 100, 0, None),
+            line("z", 0, 0, 0, 1, None),
+            line("c", 0, 0, 50, 1, None),
+        ]
+        .join("\n");
+        assert_eq!(check_text(&trace).unwrap().nodes.len(), 3);
+    }
+
+    #[test]
+    fn check_rejects_wrong_depth() {
+        let trace = [line("a", 0, 0, 100, 0, None), line("b", 0, 10, 20, 2, None)].join("\n");
+        let err = check_text(&trace).unwrap_err().0;
+        assert!(err.contains("depth 2"), "{err}");
+    }
+
+    #[test]
+    fn check_rejects_child_escaping_parent() {
+        let trace = [line("a", 0, 0, 100, 0, None), line("b", 0, 90, 50, 1, None)].join("\n");
+        let err = check_text(&trace).unwrap_err().0;
+        assert!(err.contains("overlaps"), "{err}");
+        // the same escape recorded at the parent's depth
+        let trace = [line("a", 0, 0, 100, 0, None), line("b", 0, 90, 50, 0, None)].join("\n");
+        let err = check_text(&trace).unwrap_err().0;
+        assert!(err.contains("overlaps"), "{err}");
+    }
+
+    #[test]
+    fn check_rejects_garbage_and_missing_fields() {
+        assert!(check_text("not json\n").is_err());
+        assert!(check_text("{\"t\": \"span\"}\n").is_err());
+        assert!(check_text("").is_err());
+    }
+
+    #[test]
+    fn check_nests_threads_independently() {
+        // identical intervals on different threads are unrelated
+        let trace = [
+            line("a", 0, 0, 100, 0, None),
+            line("a", 1, 0, 100, 0, None),
+            line("b", 1, 10, 20, 1, None),
+        ]
+        .join("\n");
+        let forest = check_text(&trace).unwrap();
+        assert_eq!(forest.roots.len(), 2, "one root per thread");
+        assert_eq!(job_cover(&aggregate_by_name(&forest)), None, "no sweep.run");
     }
 
     #[test]

@@ -32,13 +32,14 @@ fn temp_dir() -> PathBuf {
     dir
 }
 
-fn nd_trace(args: &[&str]) -> (bool, String, String) {
+/// Run the binary: `(exit code, stdout, stderr)`.
+fn nd_trace(args: &[&str]) -> (i32, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_nd-trace"))
         .args(args)
         .output()
         .expect("spawn nd-trace");
     (
-        out.status.success(),
+        out.status.code().expect("nd-trace exited"),
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
@@ -94,17 +95,32 @@ fn traced_sweep_end_to_end() {
         cp.attributed_frac * 100.0
     );
 
-    // CLI: critical-path with the same gate.
+    // CLI: the trace is well-formed, and the single-thread run's jobs
+    // cover its wall-clock; a window that only an exact cover meets fails.
     let trace = trace_path.to_str().unwrap();
-    let (ok, stdout, stderr) = nd_trace(&["critical-path", trace, "--min-attributed", "0.95"]);
-    assert!(ok, "gate should pass: {stderr}");
+    let (code, stdout, stderr) = nd_trace(&["check", trace]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(
+        stdout.contains(" spans, ") && stdout.contains("job cover"),
+        "got: {stdout}"
+    );
+    let (code, stdout, stderr) = nd_trace(&["check", trace, "--expect-cover", "0.8"]);
+    assert_eq!(code, 0, "{stderr}");
+    assert!(stdout.contains("job cover gate passed"), "got: {stdout}");
+    let (code, _, stderr) = nd_trace(&["check", trace, "--expect-cover", "1"]);
+    assert_eq!(code, 1);
+    assert!(stderr.contains("job cover gate FAILED"), "got: {stderr}");
+
+    // CLI: critical-path with the same gate.
+    let (code, stdout, stderr) = nd_trace(&["critical-path", trace, "--min-attributed", "0.95"]);
+    assert_eq!(code, 0, "gate should pass: {stderr}");
     assert!(stdout.contains("critical path:"), "got: {stdout}");
     assert!(stdout.contains("sweep.run"));
     assert!(stdout.contains("attribution gate passed"));
 
     // CLI: flame output is well-formed folded stacks.
-    let (ok, folded, _) = nd_trace(&["flame", trace]);
-    assert!(ok);
+    let (code, folded, _) = nd_trace(&["flame", trace]);
+    assert_eq!(code, 0);
     assert!(folded.lines().any(|l| l.starts_with("sweep.run")));
     for line in folded.lines() {
         let (path, count) = line.rsplit_once(' ').expect("`stack count` shape");
@@ -114,29 +130,29 @@ fn traced_sweep_end_to_end() {
 
     // CLI: chrome export parses as JSON with one event per span.
     let chrome_path = dir.join("chrome.json");
-    let (ok, _, stderr) = nd_trace(&["chrome", trace, "--out", chrome_path.to_str().unwrap()]);
-    assert!(ok, "{stderr}");
+    let (code, _, stderr) = nd_trace(&["chrome", trace, "--out", chrome_path.to_str().unwrap()]);
+    assert_eq!(code, 0, "{stderr}");
     let chrome = std::fs::read_to_string(&chrome_path).unwrap();
     let v = nd_sweep::value::parse_json(&chrome).unwrap();
     let events = v.as_table().unwrap()["traceEvents"].as_array().unwrap();
     assert_eq!(events.len(), parse_trace(&text).unwrap().len());
 
     // CLI: identical traces pass the regression gate …
-    let (ok, stdout, stderr) = nd_trace(&["diff", trace, trace, "--fail-on-regress", "50"]);
-    assert!(ok, "identical runs must pass: {stderr}");
+    let (code, stdout, stderr) = nd_trace(&["diff", trace, trace, "--fail-on-regress", "50"]);
+    assert_eq!(code, 0, "identical runs must pass: {stderr}");
     assert!(stdout.contains("regression gate passed"), "got: {stdout}");
 
     // … and a uniform 2× slowdown fails it.
     let slow_path = dir.join("slow.jsonl");
     slow_down(&text, &slow_path);
-    let (ok, _, stderr) = nd_trace(&[
+    let (code, _, stderr) = nd_trace(&[
         "diff",
         trace,
         slow_path.to_str().unwrap(),
         "--fail-on-regress",
         "50",
     ]);
-    assert!(!ok, "2× slowdown must trip the gate");
+    assert_eq!(code, 1, "2× slowdown must trip the gate");
     assert!(stderr.contains("regression gate FAILED"), "got: {stderr}");
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -144,19 +160,43 @@ fn traced_sweep_end_to_end() {
 
 #[test]
 fn cli_rejects_bad_usage() {
-    let (ok, _, stderr) = nd_trace(&["critical-path"]);
-    assert!(!ok);
+    let (code, _, stderr) = nd_trace(&["critical-path"]);
+    assert_eq!(code, 2);
     assert!(stderr.contains("nd-trace:"));
 
-    let (ok, _, stderr) = nd_trace(&["critical-path", "/nonexistent/trace.jsonl"]);
-    assert!(!ok);
+    let (code, _, stderr) = nd_trace(&["check"]);
+    assert_eq!(code, 2);
+    assert!(stderr.contains("check needs"), "got: {stderr}");
+
+    let (code, _, stderr) = nd_trace(&["critical-path", "/nonexistent/trace.jsonl"]);
+    assert_eq!(code, 2);
     assert!(stderr.contains("nonexistent"));
 
-    let (ok, _, stderr) = nd_trace(&["frobnicate"]);
-    assert!(!ok);
+    // A threshold that cannot gate is a usage error, not a silent pass:
+    // every comparison with NaN is false.
+    for args in [
+        &["critical-path", "t.jsonl", "--min-attributed", "nan"][..],
+        &["critical-path", "t.jsonl", "--min-attributed", "1.5"],
+        &["critical-path", "t.jsonl", "--min-attributed", "-0.1"],
+        &["diff", "a.jsonl", "b.jsonl", "--fail-on-regress", "nan"],
+        &["diff", "a.jsonl", "b.jsonl", "--fail-on-regress", "inf"],
+        &["diff", "a.jsonl", "b.jsonl", "--fail-on-regress", "-5"],
+        &["diff", "a.jsonl", "b.jsonl", "--min-share", "NaN"],
+        &["diff", "a.jsonl", "b.jsonl", "--min-share", "2"],
+        &["check", "t.jsonl", "--expect-cover", "nan"],
+        &["check", "t.jsonl", "--expect-cover", "1.5"],
+    ] {
+        let (code, _, stderr) = nd_trace(args);
+        assert_eq!(code, 2, "{args:?}");
+        assert!(stderr.contains(args[args.len() - 2]), "{args:?}: {stderr}");
+    }
+
+    let (code, _, stderr) = nd_trace(&["frobnicate"]);
+    assert_eq!(code, 2);
     assert!(stderr.contains("unknown command"));
 
-    let (ok, stdout, _) = nd_trace(&["--help"]);
-    assert!(ok);
+    let (code, stdout, _) = nd_trace(&["--help"]);
+    assert_eq!(code, 0);
     assert!(stdout.contains("critical-path") && stdout.contains("--fail-on-regress"));
+    assert!(stdout.contains("check") && stdout.contains("--expect-cover"));
 }
