@@ -10,12 +10,9 @@
 use criterion::{BenchmarkId, Criterion, Throughput};
 use nd_bench::{measure, Summary};
 use nd_core::time::Tick;
-use nd_netsim::wheel::TimingWheel;
 use nd_netsim::{run_sharded, NetSimulator, NodeSpec};
 use nd_sim::{ScheduleBehavior, SimConfig, Topology};
 use nd_sweep::{run_sweep, ScenarioSpec, SweepOptions};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::hint::black_box;
 
 const COHORTS: [usize; 3] = [2, 8, 32];
@@ -82,52 +79,6 @@ fn large_cohort_run(n: usize, seed: u64) -> (u64, f64) {
     (events, t0.elapsed().as_secs_f64())
 }
 
-/// Steady-state queue ops at netsim-like depth and spacing: pop the
-/// earliest entry, push a new one a pseudo-random stride ahead.
-const QUEUE_DEPTH: usize = 35;
-const QUEUE_BATCH: u64 = 10_000;
-
-fn queue_stride(state: &mut u64) -> u64 {
-    *state = state
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    1 + *state % 20_000
-}
-
-fn wheel_ops_batch() -> u64 {
-    let mut w: TimingWheel<u32> = TimingWheel::new();
-    let (mut state, mut at, mut seq) = (7_001u64, 0u64, 0u64);
-    for _ in 0..QUEUE_DEPTH {
-        at += queue_stride(&mut state);
-        w.push(at, seq, 0);
-        seq += 1;
-    }
-    for _ in 0..QUEUE_BATCH {
-        let e = w.pop().unwrap();
-        at = e.at + queue_stride(&mut state);
-        w.push(at, seq, 0);
-        seq += 1;
-    }
-    QUEUE_BATCH
-}
-
-fn heap_ops_batch() -> u64 {
-    let mut h: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
-    let (mut state, mut at, mut seq) = (7_001u64, 0u64, 0u64);
-    for _ in 0..QUEUE_DEPTH {
-        at += queue_stride(&mut state);
-        h.push(Reverse((at, seq, 0)));
-        seq += 1;
-    }
-    for _ in 0..QUEUE_BATCH {
-        let Reverse((eat, _, _)) = h.pop().unwrap();
-        at = eat + queue_stride(&mut state);
-        h.push(Reverse((at, seq, 0)));
-        seq += 1;
-    }
-    QUEUE_BATCH
-}
-
 const NETSIM_SWEEP: &str = r#"
 name = "bench-netsim-sweep"
 backend = "netsim"
@@ -151,18 +102,6 @@ fn bench_cohort_scaling(c: &mut Criterion) {
             b.iter(|| black_box(cohort_run(n, 42)))
         });
     }
-    group.finish();
-}
-
-fn bench_wheel_ops(c: &mut Criterion) {
-    let mut group = c.benchmark_group("queue_ops");
-    group.throughput(Throughput::Elements(QUEUE_BATCH));
-    group.bench_with_input(BenchmarkId::new("queue", "wheel"), &(), |b, ()| {
-        b.iter(|| black_box(wheel_ops_batch()))
-    });
-    group.bench_with_input(BenchmarkId::new("queue", "heap"), &(), |b, ()| {
-        b.iter(|| black_box(heap_ops_batch()))
-    });
     group.finish();
 }
 
@@ -198,18 +137,6 @@ fn write_summary() {
             events as f64 / secs,
         );
     }
-    for (name, batch) in [
-        ("queue_ops.wheel", wheel_ops_batch as fn() -> u64),
-        ("queue_ops.heap", heap_ops_batch),
-    ] {
-        let (iters, per_sec) = measure(batch);
-        summary.record_rate(
-            name,
-            "ops",
-            iters * QUEUE_BATCH,
-            per_sec * QUEUE_BATCH as f64,
-        );
-    }
     let spec = ScenarioSpec::from_toml_str(NETSIM_SWEEP).unwrap();
     let jobs = nd_sweep::expand(&spec).len();
     let (iters, sweeps_per_sec) = measure(|| {
@@ -226,7 +153,6 @@ fn write_summary() {
 fn main() {
     let mut c = Criterion::default();
     bench_cohort_scaling(&mut c);
-    bench_wheel_ops(&mut c);
     bench_netsim_sweep(&mut c);
     write_summary();
 }

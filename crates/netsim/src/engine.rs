@@ -17,10 +17,10 @@
 //! the same behaviour describes an early bird and a late joiner; clock
 //! drift composes underneath via [`nd_sim::Drifting`].
 //!
-//! The event core is built for scale: events flow through a binary heap
-//! for cohorts below 8 nodes and the hierarchical
-//! [`crate::wheel::TimingWheel`] (O(1) amortized at netsim's dense
-//! short-horizon mix) from 8 nodes up, per-node state lives in the flat
+//! The event core is built for scale: each node's behaviour batches
+//! stream through the event queue in the order they were emitted (a
+//! `Vec` per node, merged by a heap over the stream heads; see
+//! `event.rs`), per-node state lives in the flat
 //! structure-of-arrays [`crate::node`] arena, and cohort completion is a
 //! per-cluster countdown (O(1) per reception) instead of an O(N²)
 //! matrix scan per event. Topologies that split into disconnected
@@ -207,16 +207,8 @@ pub struct NetSimulator {
 impl NetSimulator {
     /// Create a simulator; add nodes with [`NetSimulator::add_node`], then
     /// call [`NetSimulator::run`]. The config's `seed` roots every node's
-    /// private RNG stream. The event queue follows the node count — a
-    /// binary heap below 8 nodes, the timing wheel from 8 up, where each
-    /// measured faster — and both pop the same events in the same order.
+    /// private RNG stream.
     pub fn new(cfg: SimConfig, topo: Topology) -> Self {
-        let queue = EventQueue::for_nodes(topo.len());
-        Self::with_queue(cfg, topo, queue)
-    }
-
-    /// [`NetSimulator::new`] on a given event queue.
-    pub(crate) fn with_queue(cfg: SimConfig, topo: Topology, queue: EventQueue) -> Self {
         let n = topo.len();
         let cluster_label = topo.cluster_assignments();
         let mut cluster_of = vec![0u32; n];
@@ -241,7 +233,7 @@ impl NetSimulator {
             transmissions: VecDeque::new(),
             tx_base: 0,
             pending_ends: VecDeque::new(),
-            queue,
+            queue: EventQueue::new(n),
             discovery: DiscoveryMatrix::new(n),
             packets: PacketCounters::default(),
             stop_when_complete: false,
@@ -278,10 +270,8 @@ impl NetSimulator {
     ///
     /// The event loop is a profiling hook: processed events are flushed
     /// to the `netsim.events` counter in 2^16 batches **plus a final
-    /// flush on drain** (so short shards are counted exactly), wheel
-    /// pressure goes to the `netsim.wheel_depth_max` /
-    /// `netsim.wheel_cascades` / `netsim.wheel_overflow_max` gauges
-    /// (`netsim.heap_depth_max` on the heap), the
+    /// flush on drain** (so short shards are counted exactly), the most
+    /// events ever pending to the `netsim.queue_depth_max` gauge, the
     /// end-of-run rate to `netsim.events_per_sec`, and (for standalone
     /// runs — the sweep pool's display takes priority inside a sweep)
     /// simulated time drives a stderr progress line toward `t_end`. None
@@ -354,13 +344,7 @@ impl NetSimulator {
                 // a completed cluster's tail events are discarded without
                 // advancing the clock — exactly what a per-shard run does
                 // by stopping, so sharded and whole-cohort runs agree
-                let i = match ev.kind {
-                    EventKind::Join(i) | EventKind::Leave(i) | EventKind::Wake(i) => i,
-                    EventKind::TxStart { node, .. } | EventKind::RxStart { node, .. } => {
-                        node as usize
-                    }
-                };
-                if self.remaining[self.cluster_of[i] as usize] == 0 {
+                if self.remaining[self.cluster_of[ev.kind.node()] as usize] == 0 {
                     continue;
                 }
             }
@@ -394,15 +378,7 @@ impl NetSimulator {
             // shorter than one flush interval (a 10⁶-node cohort is many
             // such shards — undercounting them skews the cohort gauges)
             nd_obs::metrics::add("netsim.events", total_events - flushed);
-            let (depth_max, wheel) = self.queue.stats();
-            match wheel {
-                Some((cascades, overflow_max)) => {
-                    nd_obs::metrics::gauge_max("netsim.wheel_depth_max", depth_max as f64);
-                    nd_obs::metrics::add("netsim.wheel_cascades", cascades);
-                    nd_obs::metrics::gauge_max("netsim.wheel_overflow_max", overflow_max as f64);
-                }
-                None => nd_obs::metrics::gauge_max("netsim.heap_depth_max", depth_max as f64),
-            }
+            nd_obs::metrics::gauge_max("netsim.queue_depth_max", self.queue.depth_max() as f64);
             if let Some(start) = wall_start {
                 let secs = start.elapsed().as_secs_f64();
                 if secs > 0.0 {
@@ -430,8 +406,9 @@ impl NetSimulator {
         self.arm(i);
     }
 
-    /// Refill node `i`'s buffer from its behaviour if empty (translating
-    /// local ops to simulation time) and schedule a wake for the front.
+    /// Refill node `i`'s event stream from its behaviour (translating
+    /// local ops to simulation time) and schedule a wake for the batch's
+    /// end.
     fn arm(&mut self, i: usize) {
         let now = self.queue.now();
         if !self.nodes.present[i] {
@@ -452,9 +429,9 @@ impl NetSimulator {
             let mut last = Tick::ZERO;
             for &op in ops.iter() {
                 debug_assert!(op.at() >= local_after, "behavior emitted an op in the past");
-                let op = shift_op(op, join, now);
-                last = last.max(op.at());
-                self.enqueue_op(i, op);
+                let (at, kind) = op_event(i, shift_op(op, join, now));
+                last = last.max(at);
+                self.queue.push_stream(at, kind);
             }
             self.op_scratch = ops;
             // refill again when the batch runs out. The tick lands on the
@@ -466,32 +443,9 @@ impl NetSimulator {
             // onto a busy instant — refills again immediately: the old
             // same-instant wake-then-refill cascade, minus the events.
             if last > now {
-                self.queue.push(last, EventKind::Wake(i));
+                self.queue.push_stream(last, EventKind::Wake(i));
                 break;
             }
-        }
-    }
-
-    /// Route one simulation-time op straight onto the event queue — no
-    /// per-node buffer, no per-op wake dispatch. Departures and the
-    /// horizon silence pending ops exactly as they silenced the old
-    /// buffered wakes: the op events check presence when they fire.
-    fn enqueue_op(&mut self, i: usize, op: Op) {
-        match op {
-            Op::Rx { at, duration } => self.queue.push(
-                at,
-                EventKind::RxStart {
-                    node: i as u32,
-                    end: at + duration,
-                },
-            ),
-            Op::Tx { at, payload } => self.queue.push(
-                at,
-                EventKind::TxStart {
-                    node: i as u32,
-                    payload,
-                },
-            ),
         }
     }
 
@@ -692,7 +646,8 @@ impl NetSimulator {
         for (rx, ops) in reactive {
             let join = self.nodes.join[rx];
             for op in ops {
-                self.enqueue_op(rx, shift_op(op, join, now));
+                let (at, kind) = op_event(rx, shift_op(op, join, now));
+                self.queue.push(at, kind);
             }
         }
         let mut colliders = colliders;
@@ -822,6 +777,28 @@ impl NetSimulator {
     }
 }
 
+/// Node `i`'s simulation-time op as the event that starts it. Departures
+/// and the horizon silence pending ops: the op events check presence when
+/// they fire.
+fn op_event(i: usize, op: Op) -> (Tick, EventKind) {
+    match op {
+        Op::Rx { at, duration } => (
+            at,
+            EventKind::RxStart {
+                node: i as u32,
+                end: at + duration,
+            },
+        ),
+        Op::Tx { at, payload } => (
+            at,
+            EventKind::TxStart {
+                node: i as u32,
+                payload,
+            },
+        ),
+    }
+}
+
 /// Translate a node-local op to simulation time (`+join`), clamped so a
 /// cascade never schedules into the past.
 fn shift_op(op: Op, join: Tick, at_least: Tick) -> Op {
@@ -841,7 +818,6 @@ fn shift_op(op: Op, join: Tick, at_least: Tick) -> Op {
 mod tests {
     use super::*;
     use crate::churn::ChurnPlan;
-    use crate::event::WHEEL_MIN_NODES;
     use nd_core::params::RadioParams;
     use nd_core::schedule::{BeaconSeq, ReceptionWindows, Schedule};
     use nd_sim::ScheduleBehavior;
@@ -1042,27 +1018,23 @@ mod tests {
     }
 
     #[test]
-    fn queue_follows_node_count() {
-        let is_wheel = |n: usize| EventQueue::for_nodes(n).stats().1.is_some();
-        assert!(!is_wheel(2));
-        assert!(!is_wheel(WHEEL_MIN_NODES - 1));
-        assert!(is_wheel(WHEEL_MIN_NODES));
-    }
-
-    #[test]
-    fn heap_and_wheel_engines_agree() {
-        let run = |queue: EventQueue| {
+    fn stream_and_heap_engines_agree() {
+        let run = |one_heap: bool| {
             let mut cfg = base_cfg(20);
             cfg.drop_probability = 0.2;
             cfg.seed = 7;
-            let mut net = NetSimulator::with_queue(cfg, Topology::full(4), queue);
+            let mut net = NetSimulator::new(cfg, Topology::full(4));
+            if one_heap {
+                // every event on the general heap: the reference order
+                net.queue = EventQueue::new(0);
+            }
             for phase in [3u64, 31, 57] {
                 net.add_node(on(adv(97, phase)));
             }
             net.add_node(on(scan(53, 211)));
             net.run()
         };
-        assert_reports_equal(&run(EventQueue::wheel()), &run(EventQueue::heap()), "n=4");
+        assert_reports_equal(&run(false), &run(true), "n=4");
     }
 
     fn assert_reports_equal(a: &CohortReport, b: &CohortReport, what: &str) {
@@ -1076,7 +1048,7 @@ mod tests {
         assert_eq!(a.cluster, b.cluster, "{what}: cluster");
     }
 
-    /// One randomized symmetric cohort of the wheel-vs-heap property: one
+    /// One randomized symmetric cohort of the stream-vs-heap property: one
     /// beacon and one listening window per period, random phases,
     /// staggered churn, stop at completion.
     fn churn_cohort(
@@ -1085,7 +1057,7 @@ mod tests {
         period_us: u64,
         duty_pm: u64,
         plan: &ChurnPlan,
-        queue: EventQueue,
+        one_heap: bool,
     ) -> CohortReport {
         let period = Tick::from_micros(period_us);
         let omega = Tick::from_micros(4);
@@ -1098,7 +1070,10 @@ mod tests {
         );
         let mut cfg = base_cfg(30);
         cfg.seed = seed;
-        let mut sim = NetSimulator::with_queue(cfg, topo.clone(), queue);
+        let mut sim = NetSimulator::new(cfg, topo.clone());
+        if one_heap {
+            sim.queue = EventQueue::new(0);
+        }
         sim.stop_when_all_discovered(true);
         for i in 0..topo.len() {
             let phase = Tick(((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)) % period.as_nanos());
@@ -1127,12 +1102,12 @@ mod tests {
 
         /// Cohorts at N ∈ {2, 8, 33} under randomized churn, as one full
         /// mesh and as up to four clusters (each completing on its own):
-        /// the timing wheel and the binary heap must agree field for
+        /// the per-node streams and one binary heap must agree field for
         /// field — any divergence in event order (collision outcomes,
         /// half-duplex blanking, RNG draw order, early-stop instants)
         /// shows up in the report.
         #[test]
-        fn wheel_and_heap_reports_agree_under_churn(
+        fn stream_and_heap_reports_agree_under_churn(
             seed in 0u64..1_000_000,
             churn_seed in 0u64..1_000_000,
             fraction in 0.0f64..0.8,
@@ -1147,10 +1122,11 @@ mod tests {
                     Topology::full(n),
                     Topology::clusters((0..n as u32).map(|i| i % clusters).collect()),
                 ] {
-                    let run = |queue| churn_cohort(&topo, seed, period_us, duty_pm, &plan, queue);
-                    let (wheel, heap) = (run(EventQueue::wheel()), run(EventQueue::heap()));
-                    assert_reports_equal(&wheel, &heap, &format!("n={n} {topo:?}"));
-                    prop_assert!(wheel.events > 0, "n={n}: the run must do something");
+                    let run =
+                        |one_heap| churn_cohort(&topo, seed, period_us, duty_pm, &plan, one_heap);
+                    let (streams, heap) = (run(false), run(true));
+                    assert_reports_equal(&streams, &heap, &format!("n={n} {topo:?}"));
+                    prop_assert!(streams.events > 0, "n={n}: the run must do something");
                 }
             }
         }

@@ -7,22 +7,26 @@
 //! runs reproducible byte for byte regardless of the host or of how many
 //! sweeps run in sibling threads.
 //!
-//! Two backings pop byte-identical event sequences, and the engine picks
-//! one from the cohort size ([`EventQueue::for_nodes`]): a binary heap for
-//! small cohorts, whose few pending events make the heap's O(log n) cheap
-//! and the wheel's set-up cost dominant, and the hierarchical
-//! [`crate::wheel::TimingWheel`] (O(1) amortized at netsim's dense,
-//! short-horizon event mix) from [`WHEEL_MIN_NODES`] nodes up.
+//! The queue leans on what the engine already guarantees: a node's
+//! behaviour batch (its `TxStart`/`RxStart` ops plus the closing `Wake`)
+//! arrives in nondecreasing time. Each node therefore owns a *stream*, a
+//! `Vec` appended at the tail by [`EventQueue::push_stream`] and consumed
+//! from a cursor, so most events cost a `Vec` push and an index bump. A
+//! small *general* heap takes the rest ([`EventQueue::push`]): joins,
+//! leaves, reactive ops, and any op that would land before its stream's
+//! tail. The next event is the lesser of the general heap's top and the
+//! top of a binary heap over the (at most one per node) stream heads.
+//! Sequence numbers are allocated in push order whichever side takes an
+//! event, so the pop order is exactly that of one heap over all of them.
 //!
 //! Popping no longer advances the clock implicitly: the engine calls
 //! [`EventQueue::advance`] for events it *handles*, so events it discards
 //! (a completed cluster's tail) leave the clock — and therefore the
 //! reported elapsed time — exactly where the per-shard runs put it.
 
-use crate::wheel::TimingWheel;
 use nd_core::time::Tick;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// What an event does when it fires.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -58,6 +62,16 @@ pub(crate) enum EventKind {
     },
 }
 
+impl EventKind {
+    /// The node the event belongs to.
+    pub fn node(&self) -> usize {
+        match *self {
+            EventKind::Join(i) | EventKind::Leave(i) | EventKind::Wake(i) => i,
+            EventKind::TxStart { node, .. } | EventKind::RxStart { node, .. } => node as usize,
+        }
+    }
+}
+
 /// A scheduled event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Event {
@@ -69,24 +83,13 @@ pub(crate) struct Event {
     pub kind: EventKind,
 }
 
-/// The smallest cohort that runs on the timing wheel; smaller cohorts run
-/// on the binary heap.
-///
-/// Measured with the `netsim_profile` example (optimal-slotless at
-/// η = 0.10, ω = 36 µs, 50 ms horizon, full mesh, stop at completion),
-/// medians of six interleaved runs per queue on a 2-vCPU Xeon host, one
-/// run in µs (heap vs wheel): N = 2 11.9 vs 20.5, N = 4 26.1 vs 36.0,
-/// N = 8 167 vs 177 (a tie inside the run-to-run spread, 122–192 vs
-/// 127–227), N = 17 470 vs 423, N = 33 1318 vs 1177. The wheel's fixed
-/// set-up cost decides small cohorts; the dense meshes favour the wheel;
-/// and 8 is the million-node cohort's neighbourhood size, whose shards
-/// stay on the wheel.
-pub(crate) const WHEEL_MIN_NODES: usize = 8;
-
-enum QueueImpl {
-    Wheel(TimingWheel<EventKind>),
-    /// The heap and its high-water mark.
-    Heap(BinaryHeap<Reverse<Event>>, usize),
+/// One node's pending events in `(at, seq)` order: `events[cursor..]`.
+/// Reset to empty the moment it drains, so `events.last()` is always the
+/// pending tail and the buffer's capacity is reused by the next batch.
+#[derive(Default)]
+struct Stream {
+    events: Vec<Event>,
+    cursor: usize,
 }
 
 /// Min-ordered event queue plus the simulation's logical clock.
@@ -95,55 +98,68 @@ enum QueueImpl {
 /// events; pushing an event in the past is a logic error
 /// (debug-asserted), so time is monotone by construction.
 pub(crate) struct EventQueue {
-    q: QueueImpl,
+    /// One stream per node, indexed by [`EventKind::node`].
+    streams: Vec<Stream>,
+    /// `(at, seq, node)` of every non-empty stream's head event.
+    heads: BinaryHeap<Reverse<(Tick, u64, u32)>>,
+    /// Everything that does not ride a stream.
+    general: BinaryHeap<Reverse<Event>>,
+    /// Pending events, and their high-water mark.
+    len: usize,
+    depth_max: usize,
     seq: u64,
     now: Tick,
 }
 
 impl EventQueue {
-    /// The queue for a cohort of `nodes`: the binary heap below
-    /// [`WHEEL_MIN_NODES`], the timing wheel from there up.
-    pub fn for_nodes(nodes: usize) -> Self {
-        if nodes < WHEEL_MIN_NODES {
-            Self::heap()
-        } else {
-            Self::wheel()
-        }
-    }
-
-    /// A hierarchical timing wheel.
-    pub fn wheel() -> Self {
-        Self::with(QueueImpl::Wheel(TimingWheel::new()))
-    }
-
-    /// A binary heap.
-    pub fn heap() -> Self {
-        Self::with(QueueImpl::Heap(BinaryHeap::new(), 0))
-    }
-
-    fn with(q: QueueImpl) -> Self {
+    /// An empty queue with one stream per node. With `nodes == 0` every
+    /// push goes to the general heap, which pops the same events in the
+    /// same order (the engine's equivalence tests run on it).
+    pub fn new(nodes: usize) -> Self {
         EventQueue {
-            q,
+            streams: (0..nodes).map(|_| Stream::default()).collect(),
+            heads: BinaryHeap::new(),
+            general: BinaryHeap::new(),
+            len: 0,
+            depth_max: 0,
             seq: 0,
             now: Tick::ZERO,
         }
     }
 
-    /// Schedule `kind` at `at` (≥ the current logical time).
+    /// Schedule `kind` at `at` (≥ the current logical time) on the
+    /// general heap.
     pub fn push(&mut self, at: Tick, kind: EventKind) {
-        debug_assert!(at >= self.now, "event scheduled in the past");
-        match &mut self.q {
-            QueueImpl::Wheel(w) => w.push(at.0, self.seq, kind),
-            QueueImpl::Heap(h, depth_max) => {
-                h.push(Reverse(Event {
-                    at,
-                    seq: self.seq,
-                    kind,
-                }));
-                *depth_max = (*depth_max).max(h.len());
-            }
+        let ev = self.event(at, kind);
+        self.general.push(Reverse(ev));
+    }
+
+    /// Schedule `kind` at `at` at the tail of its node's stream. An event
+    /// that would land before the stream's pending tail goes to the
+    /// general heap instead, so each stream stays in `(at, seq)` order.
+    pub fn push_stream(&mut self, at: Tick, kind: EventKind) {
+        let node = kind.node();
+        let Some(stream) = self.streams.get(node) else {
+            return self.push(at, kind);
+        };
+        if stream.events.last().is_some_and(|tail| at < tail.at) {
+            return self.push(at, kind);
         }
-        self.seq += 1;
+        let ev = self.event(at, kind);
+        let stream = &mut self.streams[node];
+        if stream.events.is_empty() {
+            self.heads.push(Reverse((at, ev.seq, node as u32)));
+        }
+        stream.events.push(ev);
+    }
+
+    /// Stamp the next sequence number on a new pending event.
+    fn event(&mut self, at: Tick, kind: EventKind) -> Event {
+        debug_assert!(at >= self.now, "event scheduled in the past");
+        let seq = self.alloc_seq();
+        self.len += 1;
+        self.depth_max = self.depth_max.max(self.len);
+        Event { at, seq, kind }
     }
 
     /// Consume the next sequence number without scheduling anything.
@@ -159,24 +175,43 @@ impl EventQueue {
     }
 
     /// The `(at, seq)` key of the next event, without consuming it.
-    pub fn peek_key(&mut self) -> Option<(Tick, u64)> {
-        match &mut self.q {
-            QueueImpl::Wheel(w) => w.peek_key().map(|(at, seq)| (Tick(at), seq)),
-            QueueImpl::Heap(h, _) => h.peek().map(|Reverse(ev)| (ev.at, ev.seq)),
+    pub fn peek_key(&self) -> Option<(Tick, u64)> {
+        let head = self.heads.peek().map(|&Reverse((at, seq, _))| (at, seq));
+        let general = self.general.peek().map(|Reverse(ev)| (ev.at, ev.seq));
+        match (head, general) {
+            (Some(h), Some(g)) => Some(h.min(g)),
+            (h, g) => h.or(g),
         }
     }
 
     /// Pop the next event. Does **not** move the logical clock — the
     /// engine advances it only for events it actually handles.
     pub fn pop(&mut self) -> Option<Event> {
-        match &mut self.q {
-            QueueImpl::Wheel(w) => w.pop().map(|e| Event {
-                at: Tick(e.at),
-                seq: e.seq,
-                kind: e.payload,
-            }),
-            QueueImpl::Heap(h, _) => h.pop().map(|Reverse(ev)| ev),
-        }
+        let from_stream = match (self.heads.peek(), self.general.peek()) {
+            (Some(Reverse((at, seq, _))), Some(Reverse(ev))) => (*at, *seq) < (ev.at, ev.seq),
+            (head, _) => head.is_some(),
+        };
+        let ev = if from_stream {
+            let mut top = self.heads.peek_mut().expect("a stream head was peeked");
+            let Reverse((_, _, node)) = *top;
+            let stream = &mut self.streams[node as usize];
+            let ev = stream.events[stream.cursor];
+            stream.cursor += 1;
+            match stream.events.get(stream.cursor) {
+                // the next head is no earlier: the heap sifts it down on drop
+                Some(next) => *top = Reverse((next.at, next.seq, node)),
+                None => {
+                    stream.events.clear();
+                    stream.cursor = 0;
+                    PeekMut::pop(top);
+                }
+            }
+            ev
+        } else {
+            self.general.pop()?.0
+        };
+        self.len -= 1;
+        Some(ev)
     }
 
     /// Advance the logical clock to `at` (monotone).
@@ -190,55 +225,60 @@ impl EventQueue {
         self.now
     }
 
-    /// Profiling counters: the most events ever pending, and on the
-    /// wheel its `(cascades, overflow_max)`.
-    pub fn stats(&self) -> (usize, Option<(u64, usize)>) {
-        match &self.q {
-            QueueImpl::Wheel(w) => (w.depth_max(), Some((w.cascades(), w.overflow_max()))),
-            QueueImpl::Heap(_, depth_max) => (*depth_max, None),
-        }
+    /// The most events ever pending at once, streams and heap together.
+    pub fn depth_max(&self) -> usize {
+        self.depth_max
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn pops_in_time_order() {
-        let mut q = EventQueue::wheel();
-        q.push(Tick(30), EventKind::Wake(0));
-        q.push(Tick(10), EventKind::Wake(1));
-        q.push(Tick(20), EventKind::Wake(2));
+        let mut q = EventQueue::new(3);
+        q.push_stream(Tick(30), EventKind::Wake(0));
+        q.push(Tick(10), EventKind::Join(1));
+        q.push_stream(Tick(20), EventKind::Wake(2));
         let order: Vec<Tick> = std::iter::from_fn(|| q.pop()).map(|e| e.at).collect();
         assert_eq!(order, vec![Tick(10), Tick(20), Tick(30)]);
     }
 
     #[test]
     fn equal_instants_fire_in_push_order() {
-        let mut q = EventQueue::wheel();
-        q.push(Tick(5), EventKind::Wake(9));
+        let mut q = EventQueue::new(10);
+        q.push_stream(Tick(5), EventKind::Wake(9));
         q.push(Tick(5), EventKind::Join(1));
+        q.push_stream(Tick(5), EventKind::Wake(1));
         q.push(Tick(5), EventKind::Leave(2));
         let kinds: Vec<EventKind> = std::iter::from_fn(|| q.pop()).map(|e| e.kind).collect();
         assert_eq!(
             kinds,
-            vec![EventKind::Wake(9), EventKind::Join(1), EventKind::Leave(2)]
+            vec![
+                EventKind::Wake(9),
+                EventKind::Join(1),
+                EventKind::Wake(1),
+                EventKind::Leave(2)
+            ]
         );
     }
 
     #[test]
     fn clock_is_monotone() {
-        let mut q = EventQueue::wheel();
-        q.push(Tick(10), EventKind::Wake(0));
-        q.push(Tick(10), EventKind::Wake(1));
-        q.push(Tick(40), EventKind::Wake(2));
+        let mut q = EventQueue::new(4);
+        q.push_stream(Tick(10), EventKind::Wake(0));
+        q.push_stream(Tick(10), EventKind::Wake(1));
+        q.push(Tick(40), EventKind::Leave(2));
         assert_eq!(q.now(), Tick::ZERO);
         let ev = q.pop().unwrap();
         q.advance(ev.at);
         assert_eq!(q.now(), Tick(10));
         // pushing at the current instant is allowed (same-time cascades)
-        q.push(Tick(10), EventKind::Wake(3));
+        q.push_stream(Tick(10), EventKind::Wake(3));
         q.pop();
         q.pop();
         let ev = q.pop().unwrap();
@@ -247,53 +287,116 @@ mod tests {
         assert!(q.pop().is_none());
     }
 
-    /// Identical push sequences → byte-identical pop sequences on both
-    /// queue implementations, across every slot scale.
-    #[test]
-    fn wheel_and_heap_pop_identically() {
-        let mut wheel = EventQueue::wheel();
-        let mut heap = EventQueue::heap();
-        let mut state = 42u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut now = 0u64;
-        let mut pending = 0usize;
-        for round in 0..4_000 {
-            let at = Tick(now + next() % (1 << (10 + (round % 4) * 8)));
-            let kind = match next() % 4 {
-                0 => EventKind::Join(round),
-                1 => EventKind::Leave(round),
-                2 => EventKind::Wake(round),
-                _ => EventKind::RxStart {
-                    node: round as u32,
-                    end: Tick(round as u64),
-                },
-            };
-            wheel.push(at, kind);
-            heap.push(at, kind);
-            pending += 1;
-            if next() % 3 == 0 && pending > 1 {
-                let a = wheel.pop().unwrap();
-                let b = heap.pop().unwrap();
-                assert_eq!(a, b);
-                wheel.advance(a.at);
-                heap.advance(b.at);
-                now = a.at.0;
-                pending -= 1;
+    /// One heap over every pending event: what the queue must match.
+    #[derive(Default)]
+    struct Reference {
+        heap: BinaryHeap<Reverse<Event>>,
+        seq: u64,
+        depth_max: usize,
+    }
+
+    impl Reference {
+        fn push(&mut self, at: Tick, kind: EventKind) {
+            self.heap.push(Reverse(Event {
+                at,
+                seq: self.seq,
+                kind,
+            }));
+            self.seq += 1;
+            self.depth_max = self.depth_max.max(self.heap.len());
+        }
+    }
+
+    /// Replays one random interleaving of sorted per-node batches (some
+    /// with an op out of order), general pushes, reserved sequence numbers
+    /// and pops on a queue with `streams` streams, asserting every pop and
+    /// peek against a reference heap fed the same events.
+    fn replay_against_reference(seed: u64, steps: usize, nodes: usize, streams: usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut q = EventQueue::new(streams);
+        let mut reference = Reference::default();
+        for _ in 0..steps {
+            let now = q.now();
+            match rng.gen_range(0u32..10) {
+                0..=2 => {
+                    let node = rng.gen_range(0..nodes);
+                    let mut at = now + Tick(rng.gen_range(0u64..2_000));
+                    let mut last = at;
+                    let len = rng.gen_range(1usize..10);
+                    let misplaced = rng.gen_bool(0.3).then(|| rng.gen_range(0..len));
+                    for k in 0..len {
+                        at += Tick(rng.gen_range(0u64..500));
+                        let op_at = if misplaced == Some(k) {
+                            now + Tick(rng.gen_range(0u64..=(at - now).0))
+                        } else {
+                            at
+                        };
+                        last = last.max(op_at);
+                        let kind = if k % 2 == 0 {
+                            EventKind::TxStart {
+                                node: node as u32,
+                                payload: k as u64,
+                            }
+                        } else {
+                            EventKind::RxStart {
+                                node: node as u32,
+                                end: op_at + Tick(40),
+                            }
+                        };
+                        q.push_stream(op_at, kind);
+                        reference.push(op_at, kind);
+                    }
+                    q.push_stream(last, EventKind::Wake(node));
+                    reference.push(last, EventKind::Wake(node));
+                }
+                3 => {
+                    let at = now + Tick(rng.gen_range(0u64..5_000));
+                    let kind = if rng.gen_bool(0.5) {
+                        EventKind::Join(rng.gen_range(0..nodes))
+                    } else {
+                        EventKind::Leave(rng.gen_range(0..nodes))
+                    };
+                    q.push(at, kind);
+                    reference.push(at, kind);
+                }
+                4 => {
+                    assert_eq!(q.alloc_seq(), reference.seq);
+                    reference.seq += 1;
+                }
+                _ => {
+                    let expect = reference.heap.peek().map(|Reverse(ev)| (ev.at, ev.seq));
+                    assert_eq!(q.peek_key(), expect, "peek, seed {seed}");
+                    let ev = q.pop();
+                    let expect = reference.heap.pop().map(|Reverse(ev)| ev);
+                    assert_eq!(ev, expect, "pop, seed {seed}");
+                    if let Some(ev) = ev {
+                        q.advance(ev.at);
+                    }
+                }
             }
         }
-        loop {
-            match (wheel.pop(), heap.pop()) {
-                (None, None) => break,
-                (a, b) => assert_eq!(a, b),
-            }
+        while let Some(Reverse(expect)) = reference.heap.pop() {
+            assert_eq!(q.pop(), Some(expect), "drain, seed {seed}");
         }
-        assert!(wheel.stats().1.is_some());
-        assert!(heap.stats().1.is_none());
-        assert_eq!(wheel.stats().0, heap.stats().0, "same high-water mark");
+        assert_eq!(q.pop(), None);
+        assert_eq!(
+            q.depth_max(),
+            reference.depth_max,
+            "high-water mark, seed {seed}"
+        );
+    }
+
+    proptest! {
+        /// The stream queue, and the same queue with every push on the
+        /// general heap, pop exactly what one reference heap pops.
+        #[test]
+        fn streams_pop_like_one_reference_heap(
+            seed in 0u64..u64::MAX,
+            steps in 1usize..600,
+            nodes in 1usize..9,
+        ) {
+            replay_against_reference(seed, steps, nodes, nodes);
+            replay_against_reference(seed, steps, nodes, 0);
+        }
     }
 }

@@ -3,12 +3,12 @@
 //! Every simulation in the workspace runs here: the Monte-Carlo pair
 //! trials of `nd-analysis` and the sweep's `montecarlo` backend as an
 //! always-on pair ([`NodeSpec::always_on`]), the `netsim` backend and the
-//! million-node cohort as N contending nodes. A discrete-event core (an
-//! event queue picked by cohort size — binary heap for small cohorts,
-//! hierarchical timing wheel for large ones — plus a logical clock)
-//! advances nodes ([`node`]) whose radios share the paper's channel model
-//! from `nd-sim`: overlap geometry, half-duplex blanking, ALOHA
-//! collisions (Eq. 12), fault injection. The cross-validation suite pins a
+//! million-node cohort as N contending nodes. A discrete-event core (one
+//! event queue — each node's sorted op stream, merged by a heap over the
+//! stream heads, beside a small heap for everything else — plus a
+//! logical clock) advances nodes ([`node`]) whose radios share the
+//! paper's channel model from `nd-sim`: overlap geometry, half-duplex
+//! blanking, ALOHA collisions (Eq. 12), fault injection. The cross-validation suite pins a
 //! pair against a direct enumeration of beacons and windows.
 //!
 //! What cohorts add on top of a pair:
@@ -38,7 +38,6 @@ pub(crate) mod event;
 pub mod metrics;
 pub mod node;
 pub mod shard;
-pub mod wheel;
 
 pub use churn::ChurnPlan;
 pub use engine::NetSimulator;

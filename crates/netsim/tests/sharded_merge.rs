@@ -3,11 +3,12 @@
 //! Randomized clustered cohorts at N ∈ {2, 8, 33} — random schedules,
 //! phases and staggered churn plans — must produce field-identical
 //! [`CohortReport`]s whether the cohort runs as one simulation or shard
-//! by shard on 1 or 4 threads and merged. The shards are smaller than the
-//! whole cohort, so the two sides often run on different event queues (a
-//! 4-node shard of an 8-node cohort runs on the heap, the cohort on the
-//! wheel); any divergence in event order would surface as a report
-//! difference. The in-crate property pins wheel against heap directly.
+//! by shard on 1 or 4 threads and merged. A shard's queue holds only its
+//! own cluster's streams and numbers its events from zero, while the
+//! whole cohort interleaves every cluster's events on one sequence; any
+//! divergence in event order within a cluster would surface as a report
+//! difference. The in-crate properties pin the per-node streams against
+//! one reference heap directly.
 
 use nd_core::schedule::{BeaconSeq, ReceptionWindows, Schedule};
 use nd_core::time::Tick;

@@ -8,13 +8,15 @@
 //!
 //! Rendering is on by default only when stderr is a terminal; the
 //! `ND_PROGRESS` environment variable forces it (`1`) or suppresses it
-//! (`0`) regardless. Output goes to stderr only — stdout stays clean
-//! for machine-readable exports — and is throttled to roughly one
-//! repaint per 150 ms, so calling [`Progress::update`] from a hot loop
-//! is cheap (one atomic load of the repaint deadline on most calls).
+//! (`0`) regardless. Both are read once, at the first use in the
+//! process. Output goes to stderr only — stdout stays clean for
+//! machine-readable exports — and is throttled to roughly one repaint
+//! per 150 ms, so calling [`Progress::update`] from a hot loop is cheap
+//! (one atomic load of the repaint deadline on most calls).
 
 use std::io::{IsTerminal, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Only one progress line may render at a time.
@@ -23,13 +25,17 @@ static SLOT: AtomicBool = AtomicBool::new(false);
 /// Minimum interval between repaints.
 const THROTTLE_NS: u64 = 150_000_000;
 
-/// Should progress render at all, per the environment?
+/// Should progress render at all, per the environment? Read once per
+/// process: every simulation run constructs a [`Progress`], and the
+/// variable lookup plus the terminal probe would otherwise be paid each
+/// time.
 fn env_enabled() -> bool {
-    match std::env::var("ND_PROGRESS").ok().as_deref() {
+    static ENABLED: OnceLock<bool> = OnceLock::new();
+    *ENABLED.get_or_init(|| match std::env::var("ND_PROGRESS").ok().as_deref() {
         Some("1") => true,
         Some("0") => false,
         _ => std::io::stderr().is_terminal(),
-    }
+    })
 }
 
 /// Defensively erase any progress residue from stderr and flush it.

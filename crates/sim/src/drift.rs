@@ -22,7 +22,8 @@ use rand::RngCore;
 ///
 /// Local instants `t_local` map to simulation instants
 /// `t_sim = t_local · (1 + ppb·10⁻⁹)`, applied with integer arithmetic so
-/// the mapping is exact and monotone.
+/// the mapping is exact and monotone. Batches are mapped in place, so
+/// refills through [`Behavior::next_ops_into`] allocate nothing.
 pub struct Drifting<B> {
     inner: B,
     ppb: i64,
@@ -45,11 +46,32 @@ impl<B: Behavior> Drifting<B> {
         Self::new(inner, ppm * 1000)
     }
 
-    /// local → simulation time.
+    /// local → simulation time: `t + trunc(t · ppb / 10⁹)`, computed in
+    /// i64 by splitting `t` at whole seconds, `t = q·10⁹ + r`. The skew is
+    /// `q·ppb + r·ppb/10⁹`; the first term is an integer and both share
+    /// the sign of `ppb`, so truncating the second alone truncates the
+    /// sum exactly as the single wide division would. Neither product can
+    /// overflow: `q < 1.9·10¹⁰` and `|ppb| < 10⁶`.
     fn to_sim(&self, t: Tick) -> Tick {
-        let ns = t.as_nanos() as i128;
-        let skew = ns * self.ppb as i128 / 1_000_000_000;
-        Tick((ns + skew) as u64)
+        const NS_PER_S: u64 = 1_000_000_000;
+        let (q, r) = (t.as_nanos() / NS_PER_S, t.as_nanos() % NS_PER_S);
+        let skew = q as i64 * self.ppb + r as i64 * self.ppb / NS_PER_S as i64;
+        Tick(t.as_nanos().wrapping_add_signed(skew))
+    }
+
+    /// One inner op moved to simulation time, no earlier than `at_least`.
+    fn op_to_sim(&self, op: Op, at_least: Tick) -> Op {
+        match op {
+            Op::Tx { at, payload } => Op::Tx {
+                at: self.to_sim(at).max(at_least),
+                payload,
+            },
+            Op::Rx { at, duration } => Op::Rx {
+                at: self.to_sim(at).max(at_least),
+                // durations stretch with the clock too
+                duration: self.to_sim(duration).max(Tick(1)),
+            },
+        }
     }
 
     /// simulation → local time (inverse mapping, rounded up so that
@@ -64,22 +86,17 @@ impl<B: Behavior> Drifting<B> {
 
 impl<B: Behavior> Behavior for Drifting<B> {
     fn next_ops(&mut self, after: Tick, rng: &mut dyn RngCore) -> Vec<Op> {
-        let local_after = self.sim_to_local(after);
-        let mut ops = self.inner.next_ops(local_after, rng);
-        for op in &mut ops {
-            *op = match *op {
-                Op::Tx { at, payload } => Op::Tx {
-                    at: self.to_sim(at).max(after),
-                    payload,
-                },
-                Op::Rx { at, duration } => Op::Rx {
-                    at: self.to_sim(at).max(after),
-                    // durations stretch with the clock too
-                    duration: self.to_sim(duration).max(Tick(1)),
-                },
-            };
-        }
+        let mut ops = Vec::new();
+        self.next_ops_into(after, rng, &mut ops);
         ops
+    }
+
+    fn next_ops_into(&mut self, after: Tick, rng: &mut dyn RngCore, out: &mut Vec<Op>) {
+        let start = out.len();
+        self.inner.next_ops_into(self.sim_to_local(after), rng, out);
+        for op in &mut out[start..] {
+            *op = self.op_to_sim(*op, after);
+        }
     }
 
     fn on_reception(
@@ -92,16 +109,7 @@ impl<B: Behavior> Behavior for Drifting<B> {
         let local_at = self.sim_to_local(at);
         let mut ops = self.inner.on_reception(local_at, from, payload, rng);
         for op in &mut ops {
-            *op = match *op {
-                Op::Tx { at: t, payload } => Op::Tx {
-                    at: self.to_sim(t).max(at),
-                    payload,
-                },
-                Op::Rx { at: t, duration } => Op::Rx {
-                    at: self.to_sim(t).max(at),
-                    duration: self.to_sim(duration).max(Tick(1)),
-                },
-            };
+            *op = self.op_to_sim(*op, at);
         }
         ops
     }
@@ -115,9 +123,9 @@ impl<B: Behavior> Behavior for Drifting<B> {
 mod tests {
     use super::*;
     use crate::behavior::ScheduleBehavior;
-    use nd_core::schedule::{BeaconSeq, Schedule};
+    use nd_core::schedule::{BeaconSeq, ReceptionWindows, Schedule};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn advertiser() -> ScheduleBehavior {
         ScheduleBehavior::new(Schedule::tx_only(
@@ -180,6 +188,70 @@ mod tests {
         for t in [0u64, 1, 999, 1_000_000, 123_456_789] {
             let t = Tick(t);
             assert!(d.to_sim(d.sim_to_local(t)) >= t, "{t}");
+        }
+    }
+
+    /// The split i64 mapping agrees with the wide formula it replaced,
+    /// `t + t·ppb/10⁹` in i128 truncated toward zero, on random instants
+    /// below 2⁶² and over the whole tick range.
+    #[test]
+    fn to_sim_matches_the_i128_formula() {
+        let wide = |t: u64, ppb: i64| {
+            let ns = t as i128;
+            (ns + ns * ppb as i128 / 1_000_000_000) as u64
+        };
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for case in 0..200_000u32 {
+            let ppb = rng.gen_range(-999_999i64..=999_999);
+            let t = match case % 3 {
+                0 => rng.gen_range(0..1u64 << 62),
+                1 => rng.gen_range(0..4_000_000_000u64),
+                _ => rng.gen_range(0..u64::MAX),
+            };
+            let d = Drifting::new(advertiser(), ppb);
+            assert_eq!(d.to_sim(Tick(t)), Tick(wide(t, ppb)), "t={t} ppb={ppb}");
+        }
+        for ppb in [-999_999, -1, 0, 1, 999_999] {
+            let d = Drifting::new(advertiser(), ppb);
+            for t in [0, 1, 999_999_999, 1_000_000_000, (1 << 62) - 1, u64::MAX] {
+                assert_eq!(d.to_sim(Tick(t)), Tick(wide(t, ppb)), "t={t} ppb={ppb}");
+            }
+        }
+    }
+
+    /// Mapping in place through `next_ops_into` emits what `next_ops`
+    /// does, batch after batch, appending after what `out` already holds.
+    #[test]
+    fn next_ops_into_matches_next_ops() {
+        let schedule = Schedule::full(
+            BeaconSeq::uniform(2, Tick::from_millis(3), Tick::from_micros(36), Tick::ZERO).unwrap(),
+            ReceptionWindows::single(
+                Tick::from_micros(700),
+                Tick::from_micros(450),
+                Tick::from_millis(2),
+            )
+            .unwrap(),
+        );
+        for ppb in [-730_000, -40_000, 0, 25_000, 999_999] {
+            let behavior = || ScheduleBehavior::with_phase(schedule.clone(), Tick(123_456));
+            let (mut a, mut b) = (
+                Drifting::new(behavior(), ppb),
+                Drifting::new(behavior(), ppb),
+            );
+            let (mut ra, mut rb) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+            let mut out = vec![Op::Tx {
+                at: Tick(7),
+                payload: 1,
+            }];
+            let mut expect = out.clone();
+            let mut after = Tick::ZERO;
+            for _ in 0..20 {
+                let batch = a.next_ops(after, &mut ra);
+                b.next_ops_into(after, &mut rb, &mut out);
+                expect.extend_from_slice(&batch);
+                assert_eq!(out, expect, "ppb={ppb} after={after:?}");
+                after = batch.last().unwrap().at() + Tick(1);
+            }
         }
     }
 

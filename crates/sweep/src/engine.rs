@@ -485,7 +485,13 @@ fn exec_montecarlo(job: &Job, spec: &ScenarioSpec) -> Result<BTreeMap<String, f6
         let mut sim = NetSimulator::new(cfg, Topology::full(2));
         for (sched, phase, ppm) in [(&sched_a, phase_a, 0), (&sched_b, phase_b, job.drift_ppm)] {
             let behavior = ScheduleBehavior::with_phase(sched.clone(), phase);
-            sim.add_node(NodeSpec::always_on(Box::new(Drifting::ppm(behavior, ppm))));
+            // at 0 ppm the wrapper maps every instant to itself
+            let behavior: Box<dyn Behavior> = if ppm == 0 {
+                Box::new(behavior)
+            } else {
+                Box::new(Drifting::ppm(behavior, ppm))
+            };
+            sim.add_node(NodeSpec::always_on(behavior));
         }
         sim.stop_when_all_discovered(spec.metric == Metric::TwoWay);
         let report = sim.run();
