@@ -12,11 +12,11 @@
 //!    utilization β, the measured collision rate matches the paper's
 //!    slotless-ALOHA model `P_c = 1 − e^{−2(S−1)β}` within Monte-Carlo
 //!    tolerance.
-//! 5. **Hand-computed channel cases**: half-duplex blanking, fault drops,
-//!    directional link loss, full-packet containment, out-of-range
-//!    topologies, beacons outside windows, window boundaries, collisions
-//!    only on overlap, duty-cycle accounting and the reported elapsed
-//!    time.
+//! 5. **Hand-computed channel cases**: half-duplex blanking under each
+//!    overlap model, fault drops, directional link loss, full-packet
+//!    containment, out-of-range topologies, beacons outside windows,
+//!    window boundaries, collisions only on overlap, duty-cycle accounting
+//!    and the reported elapsed time.
 //!
 //! `PROPTEST_CASES` raises the case count of the properties.
 
@@ -322,43 +322,81 @@ fn non_overlapping_beacons_do_not_collide() {
     assert_eq!(report.packets.received, 20);
 }
 
-#[test]
-fn half_duplex_blanks_own_window() {
-    // node 1 beacons at exactly the instants node 0's beacons arrive, so
-    // its own transmission blanks its window every time (ideal radio:
-    // blanked for exactly ω); node 0 never listens
-    let both = Schedule::full(
+/// A node that beacons every 100 µs from `beacon_us` on and listens
+/// `[0, 50)` of every 100 µs.
+fn beacon_and_listen(beacon_us: u64) -> Schedule {
+    Schedule::full(
         BeaconSeq::uniform(
             1,
             Tick::from_micros(100),
             Tick::from_micros(4),
-            Tick::from_micros(10),
+            Tick::from_micros(beacon_us),
         )
         .unwrap(),
         ReceptionWindows::single(Tick::ZERO, Tick::from_micros(50), Tick::from_micros(100))
             .unwrap(),
-    );
+    )
+}
+
+/// Node 0 beacons at 10 µs of every 100 into node 1's `[0, 50)` window
+/// while node 1 beacons at `own_us` of every 100: `(beacons node 1
+/// received, beacons it lost to its own transmissions)` over 1 ms.
+fn self_blocking(overlap: OverlapModel, own_us: u64) -> (u64, u64) {
+    let cfg = base_cfg(1).with_overlap(overlap);
     let report = run(
-        base_cfg(1),
+        cfg,
         Topology::full(2),
-        vec![adv(100, 10), both.clone()],
-    );
-    assert_eq!(report.discovery.one_way(1, 0), None);
-    assert_eq!(
-        report.packets.lost_self_blocking, 10,
-        "every beacon blanked"
+        vec![adv(100, 10), beacon_and_listen(own_us)],
     );
     assert_eq!(
         report.packets.lost_collision, 0,
         "blanking is not a collision"
     );
+    (
+        report.stats[1].n_received,
+        report.packets.lost_self_blocking,
+    )
+}
 
-    // a full-duplex radio on a collision-free channel hears them all
-    let mut cfg = base_cfg(1);
-    cfg.half_duplex = false;
-    cfg.collisions = false;
-    let report = run(cfg, Topology::full(2), vec![adv(100, 10), both]);
-    assert_eq!(report.discovery.one_way(1, 0), Some(Tick::from_micros(10)));
+#[test]
+fn half_duplex_blanks_own_window() {
+    const MODELS: [OverlapModel; 3] = [
+        OverlapModel::Start,
+        OverlapModel::AnyOverlap,
+        OverlapModel::FullPacket,
+    ];
+    for overlap in MODELS {
+        // node 1 beacons at exactly the instants node 0's beacons arrive,
+        // so its own transmission blanks the whole packet every time
+        // (ideal radio: blanked for exactly ω) under every overlap model
+        assert_eq!(self_blocking(overlap, 10), (0, 10), "{overlap:?}");
+
+        // a full-duplex radio on a collision-free channel hears them all
+        let mut cfg = base_cfg(1).with_overlap(overlap);
+        cfg.half_duplex = false;
+        cfg.collisions = false;
+        let report = run(
+            cfg,
+            Topology::full(2),
+            vec![adv(100, 10), beacon_and_listen(10)],
+        );
+        assert_eq!(
+            report.discovery.one_way(1, 0),
+            Some(Tick::from_micros(10)),
+            "{overlap:?}"
+        );
+    }
+    // the packet [10, 14) µs lies inside node 1's window, and node 1's
+    // own beacon [12, 16) covers only its tail: the start is still heard
+    // and so is the head, but the packet no longer fits
+    assert_eq!(self_blocking(OverlapModel::Start, 12), (10, 0));
+    assert_eq!(self_blocking(OverlapModel::AnyOverlap, 12), (10, 0));
+    assert_eq!(self_blocking(OverlapModel::FullPacket, 12), (0, 10));
+    // an own beacon [8, 12) over the head blanks the start, but the tail
+    // [12, 14) still overlaps the window
+    assert_eq!(self_blocking(OverlapModel::Start, 8), (0, 10));
+    assert_eq!(self_blocking(OverlapModel::AnyOverlap, 8), (10, 0));
+    assert_eq!(self_blocking(OverlapModel::FullPacket, 8), (0, 10));
 }
 
 #[test]

@@ -68,7 +68,10 @@ macro_rules! netsim {
 /// percentiles on, then the two-way, Theorem 5.7 pair, overlap-model and
 /// heterogeneous-pair jobs; then montecarlo jobs (fault drops on and off,
 /// one-, either- and two-way, drift 0 and 20 ppm), netsim cohorts of
-/// 2, 8 and 17 nodes (churn, collisions on and off), and bounds rows: two
+/// 2, 8 and 17 nodes (churn, collisions on and off), montecarlo and
+/// 8-node netsim jobs that blank with a 40 µs turnaround under the
+/// any-overlap and full-packet models (slotted protocols: the slotless
+/// optimum admits no full-packet reception), and bounds rows: two
 /// Fig. 6 joint-budget points, Theorem 5.7 on an explicit (η_E, η_F)
 /// pair, and a ratio below 1 pinned as its error.
 const CASES: &[(&str, &str)] = &[
@@ -246,6 +249,36 @@ eta = [0.10]"#,
         ),
     ),
     (
+        "mc-disco-any-overlap-turnaround",
+        r#"name = "g"
+backend = "montecarlo"
+metric = "one-way"
+overlap = "any-overlap"
+[grid]
+protocol = ["disco"]
+eta = [0.10]
+turnaround_us = [40]
+[sim]
+seed = 3
+trials = 8
+horizon_ms = 1500"#,
+    ),
+    (
+        "mc-searchlight-full-packet-turnaround",
+        r#"name = "g"
+backend = "montecarlo"
+metric = "two-way"
+overlap = "full-packet"
+[grid]
+protocol = ["searchlight"]
+eta = [0.10]
+turnaround_us = [40]
+[sim]
+seed = 3
+trials = 8
+horizon_ms = 1500"#,
+    ),
+    (
         "ns-optimal-n2",
         netsim!(
             "two-way",
@@ -300,6 +333,39 @@ eta = [0.10]"#,
             "protocol = [\"optimal-slotless\"]\neta = [0.10]\neta_b = [0.05]\nmix = [0.25]\nnodes = [8]",
             "trials = 2"
         ),
+    ),
+    (
+        "ns-disco-n8-churn-full-packet-turnaround",
+        r#"name = "g"
+backend = "netsim"
+metric = "either-way"
+overlap = "full-packet"
+[grid]
+protocol = ["disco"]
+eta = [0.10]
+nodes = [8]
+churn = [0.25]
+turnaround_us = [40]
+[sim]
+seed = 5
+trials = 2
+horizon_ms = 1500"#,
+    ),
+    (
+        "ns-disco-n8-any-overlap-turnaround",
+        r#"name = "g"
+backend = "netsim"
+metric = "one-way"
+overlap = "any-overlap"
+[grid]
+protocol = ["disco"]
+eta = [0.10]
+nodes = [8]
+turnaround_us = [40]
+[sim]
+seed = 5
+trials = 2
+horizon_ms = 1500"#,
     ),
     ("bounds-joint-0.05-r1", bounds!("eta = [0.05]\nratio = [1.0]")),
     ("bounds-joint-0.05-r5", bounds!("eta = [0.05]\nratio = [5.0]")),
