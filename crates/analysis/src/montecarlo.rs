@@ -187,15 +187,7 @@ fn count_discovered(
 }
 
 fn random_phase(schedule: &Schedule, rng: &mut StdRng) -> Tick {
-    let period = schedule
-        .beacons
-        .as_ref()
-        .map(|b| b.period())
-        .into_iter()
-        .chain(schedule.windows.as_ref().map(|c| c.period()))
-        .max()
-        .unwrap_or(Tick(1));
-    Tick(rng.gen_range(0..period.as_nanos().max(1)))
+    Tick(rng.gen_range(0..schedule.period().as_nanos()))
 }
 
 #[cfg(test)]

@@ -434,6 +434,15 @@ impl Schedule {
         self.duty_cycle().eta(alpha)
     }
 
+    /// The longer of the two periods, `max(T_B, T_C)` (1 ns for a
+    /// schedule with neither side): the span a random initial phase is
+    /// drawn from, and the chunk a simulated device emits at a time.
+    pub fn period(&self) -> Tick {
+        let tb = self.beacons.as_ref().map_or(Tick::ZERO, |b| b.period());
+        let tc = self.windows.as_ref().map_or(Tick::ZERO, |c| c.period());
+        tb.max(tc).max(Tick(1))
+    }
+
     /// Fraction of reception time lost to the device's own transmissions
     /// overlapping its own reception windows, over one hyper-period
     /// (Appendix A.5). Returns 0 for tx-only or rx-only schedules.
@@ -647,6 +656,24 @@ mod tests {
                 .unwrap(),
         );
         assert_eq!(s.duty_cycle().gamma, 0.0);
+    }
+
+    #[test]
+    fn period_is_the_longer_side() {
+        let b = BeaconSeq::uniform(1, Tick::from_micros(300), Tick::from_micros(4), Tick::ZERO)
+            .unwrap();
+        let c = simple_windows();
+        assert_eq!(
+            Schedule::full(b.clone(), c.clone()).period(),
+            Tick::from_micros(300)
+        );
+        assert_eq!(Schedule::tx_only(b).period(), Tick::from_micros(300));
+        assert_eq!(Schedule::rx_only(c).period(), Tick::from_micros(100));
+        let neither = Schedule {
+            beacons: None,
+            windows: None,
+        };
+        assert_eq!(neither.period(), Tick(1));
     }
 
     #[test]

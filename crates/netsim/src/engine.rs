@@ -21,7 +21,9 @@
 //! stream through the event queue in the order they were emitted (a
 //! `Vec` per node, merged by a heap over the stream heads; see
 //! `event.rs`), per-node state lives in the flat
-//! structure-of-arrays [`crate::node`] arena, and cohort completion is a
+//! structure-of-arrays [`crate::node`] arena, every transmission is one
+//! record in a shared time-ordered deque that collisions and half-duplex
+//! blanking both read with one monotone scan, and cohort completion is a
 //! per-cluster countdown (O(1) per reception) instead of an O(N²)
 //! matrix scan per event. Topologies that split into disconnected
 //! clusters — e.g. per-channel neighborhoods from
@@ -151,9 +153,11 @@ pub struct NetSimulator {
     cfg: SimConfig,
     topo: Topology,
     nodes: NodeArena,
-    /// Retained transmission records; absolute record `idx` lives at
-    /// `transmissions[idx - tx_base]`. Records whose influence horizon has
-    /// passed are popped off the front (their `TxEnd` is proven fired).
+    /// Retained transmission records — the one log of who transmitted
+    /// when, read by collisions and half-duplex blanking alike; absolute
+    /// record `idx` lives at `transmissions[idx - tx_base]`. Records whose
+    /// influence horizon has passed are popped off the front (their
+    /// `TxEnd` is proven fired).
     transmissions: VecDeque<TxRecord>,
     tx_base: usize,
     /// Pending packet ends `(end, seq, absolute record idx)`. Airtime is
@@ -190,18 +194,14 @@ pub struct NetSimulator {
     op_scratch: Vec<Op>,
     /// Scratch: collider record indices per `TxEnd`.
     colliders: Vec<usize>,
-    /// Scratch: nodes whose own expanded transmission covers the current
-    /// packet start (half-duplex blanking, start-overlap model).
-    blankers: Vec<u32>,
+    /// Scratch: `(sender, record widened by the turnaround times)` for
+    /// every retained record whose widening overlaps the current packet —
+    /// the half-duplex blanking each sender suffers (Appendix A.5).
+    blankers: Vec<(u32, Interval)>,
     /// Monotone lower bound (absolute record index) for the collider /
     /// blanker scan: packet starts are nondecreasing across `TxEnd`s, so
     /// records wholly before one packet are wholly before every later one.
     collider_search: usize,
-    /// Per-node own-tx logs are only maintained when the general
-    /// interval-algebra blanking path needs them (half-duplex under a
-    /// non-start overlap model); the start-model hot path derives
-    /// blanking from the shared transmission records instead.
-    need_own_tx: bool,
 }
 
 impl NetSimulator {
@@ -211,21 +211,23 @@ impl NetSimulator {
     pub fn new(cfg: SimConfig, topo: Topology) -> Self {
         let n = topo.len();
         let cluster_label = topo.cluster_assignments();
+        // labels are smallest member ids, so a cluster first appears at
+        // the node its label names: number clusters in that order
         let mut cluster_of = vec![0u32; n];
         let mut sizes: Vec<u64> = Vec::new();
-        let mut index_of = std::collections::HashMap::new();
-        for i in 0..n {
-            let c = *index_of.entry(cluster_label[i]).or_insert_with(|| {
+        for (i, &label) in cluster_label.iter().enumerate() {
+            let label = label as usize;
+            debug_assert!(label <= i, "cluster label {label} above member {i}");
+            cluster_of[i] = if label == i {
                 sizes.push(0);
                 (sizes.len() - 1) as u32
-            });
-            cluster_of[i] = c;
-            sizes[c as usize] += 1;
+            } else {
+                cluster_of[label]
+            };
+            sizes[cluster_of[i] as usize] += 1;
         }
         let remaining: Vec<u64> = sizes.iter().map(|&k| k * (k - 1)).collect();
         let clusters_active = remaining.iter().filter(|&&r| r > 0).count();
-        let need_own_tx =
-            cfg.half_duplex && !matches!(cfg.overlap, nd_core::coverage::OverlapModel::Start);
         NetSimulator {
             cfg,
             topo,
@@ -247,7 +249,6 @@ impl NetSimulator {
             colliders: Vec::new(),
             blankers: Vec::new(),
             collider_search: 0,
-            need_own_tx,
         }
     }
 
@@ -462,16 +463,6 @@ impl NetSimulator {
             return; // a stale beacon of a node that has since left
         }
         let iv = Interval::new(at, at + self.cfg.radio.omega);
-        if self.need_own_tx {
-            self.nodes.own_tx[i].push(iv);
-            if self.nodes.own_tx[i].len() & 63 == 0 {
-                // nodes that transmit but rarely pass geometry never reach
-                // the blanking path; prune here so their own-tx logs stay
-                // bounded regardless
-                let horizon = self.prune_horizon(at);
-                self.prune_own_tx(i, horizon);
-            }
-        }
         self.nodes.stats[i].n_tx += 1;
         self.nodes.stats[i].tx_time += self.cfg.radio.omega;
         self.packets.sent += 1;
@@ -528,9 +519,9 @@ impl NetSimulator {
         let horizon = self.prune_horizon(iv.start);
 
         // one pass over the retained records: collision candidates plus
-        // start-model half-duplex blankers
+        // half-duplex blankers
         let start_model = matches!(self.cfg.overlap, nd_core::coverage::OverlapModel::Start);
-        if self.cfg.collisions || (self.cfg.half_duplex && start_model) {
+        if self.cfg.collisions || self.cfg.half_duplex {
             self.scan_tx(idx, iv);
         }
         let colliders = std::mem::take(&mut self.colliders);
@@ -577,14 +568,18 @@ impl NetSimulator {
                 continue;
             }
             // geometry against the scheduled windows, then half-duplex
-            // blanking (Appendix A.5); under the paper's start-of-packet
-            // overlap model both reduce to point queries — no interval
-            // algebra on the hot path
+            // blanking by the receiver's own widened records (Appendix
+            // A.5); under the paper's start-of-packet overlap model both
+            // reduce to point queries — no interval algebra on the hot path
+            let mut blanks = blankers
+                .iter()
+                .filter(|&&(b, _)| b as usize == rx)
+                .map(|&(_, w)| w);
             if start_model {
                 if !windows.iter().any(|&(_, w)| w.contains(iv.start)) {
                     continue; // not receivable at all — not counted as a loss
                 }
-                if self.cfg.half_duplex && blankers.iter().any(|&b| b as usize == rx) {
+                if self.cfg.half_duplex && blanks.any(|w| w.contains(iv.start)) {
                     self.packets.lost_self_blocking += 1;
                     continue;
                 }
@@ -594,8 +589,8 @@ impl NetSimulator {
                     continue; // not receivable at all — not counted as a loss
                 }
                 if self.cfg.half_duplex {
-                    let effective = self.blanked_cover(rx, iv, &scheduled);
-                    if !self.geometry_ok(&effective, iv) {
+                    let blanked = IntervalSet::from_intervals(blanks);
+                    if !self.geometry_ok(&scheduled.subtract(&blanked), iv) {
                         self.packets.lost_self_blocking += 1;
                         continue;
                     }
@@ -668,36 +663,6 @@ impl NetSimulator {
         t.saturating_sub(guard * 4)
     }
 
-    /// Advance node `i`'s lazy own-tx prune cursor past records ending
-    /// before `horizon`, compacting the log when the dead prefix dominates.
-    fn prune_own_tx(&mut self, i: usize, horizon: Tick) {
-        let own_tx = &mut self.nodes.own_tx[i];
-        let prune = &mut self.nodes.own_tx_prune[i];
-        while *prune < own_tx.len() && own_tx[*prune].end < horizon {
-            *prune += 1;
-        }
-        if *prune > 64 && *prune * 2 >= own_tx.len() {
-            own_tx.drain(..*prune);
-            *prune = 0;
-        }
-    }
-
-    /// Subtract the receiver's own transmissions (expanded by turnaround
-    /// times) from a listening cover, advancing the node's lazy prune
-    /// cursor past spent transmissions.
-    fn blanked_cover(&mut self, rx: usize, packet: Interval, cover: &IntervalSet) -> IntervalSet {
-        self.prune_own_tx(rx, self.prune_horizon(packet.start));
-        let radio = &self.cfg.radio;
-        let prune = self.nodes.own_tx_prune[rx];
-        let blanked = self.nodes.own_tx[rx][prune..].iter().map(|tx| {
-            Interval::new(
-                tx.start.saturating_sub(radio.do_rx_tx),
-                tx.end + radio.do_tx_rx,
-            )
-        });
-        cover.subtract(&IntervalSet::from_intervals(blanked))
-    }
-
     /// Apply the configured overlap model to a listening cover.
     fn geometry_ok(&self, cover: &IntervalSet, packet: Interval) -> bool {
         match self.cfg.overlap {
@@ -715,9 +680,15 @@ impl NetSimulator {
     /// One sequential pass over the retained transmission records around
     /// `iv`, filling the scratch lists: `colliders` gets the absolute
     /// indices of *other* records overlapping the packet (ALOHA, Eq. 12),
-    /// `blankers` the senders whose record — expanded by the turnaround
-    /// times — covers the packet start (start-model half-duplex test;
-    /// a node is blanked iff its id appears here).
+    /// `blankers` every record whose widening `[start − do_rx_tx, end +
+    /// do_tx_rx)` overlaps the packet, as `(sender, widened record)` — the
+    /// receiver-side half-duplex test reads its own entries.
+    ///
+    /// The shared records are the only log of who transmitted when, and
+    /// they suffice: a record is pruned only once it ends before
+    /// `packet start − 4·guard`, far behind any widening that can reach
+    /// this packet, and only departed nodes (never receivers) have
+    /// truncated records.
     ///
     /// Records are kept in nondecreasing start order, are at most ω long
     /// (leave-truncation only shortens them), and queries arrive with
@@ -727,8 +698,8 @@ impl NetSimulator {
     fn scan_tx(&mut self, idx: usize, iv: Interval) {
         let radio = &self.cfg.radio;
         // a record can still matter if it overlaps the packet (collision)
-        // or its expansion reaches the packet start (blanking): both imply
-        // `start + ω + do_tx_rx ≥ iv.start`
+        // or its widening does (blanking): both imply
+        // `start + ω + do_tx_rx > iv.start`
         let reach_back = radio.omega + radio.do_tx_rx;
         let mut lo = self.collider_search.max(self.tx_base);
         while lo - self.tx_base < self.transmissions.len()
@@ -738,8 +709,8 @@ impl NetSimulator {
         }
         self.collider_search = lo;
         // blanking looks ahead of the packet too: a record starting within
-        // `do_rx_tx` after the packet start still blanks its sender
-        let scan_end = iv.end.max(iv.start + radio.do_rx_tx + Tick(1));
+        // `do_rx_tx` after the packet end still blanks its sender
+        let scan_end = iv.end + radio.do_rx_tx;
         for local in (lo - self.tx_base)..self.transmissions.len() {
             let tx = &self.transmissions[local];
             if tx.iv.start >= scan_end {
@@ -749,13 +720,12 @@ impl NetSimulator {
             if q != idx && tx.iv.overlaps(&iv) {
                 self.colliders.push(q);
             }
-            if Interval::new(
+            let widened = Interval::new(
                 tx.iv.start.saturating_sub(radio.do_rx_tx),
                 tx.iv.end + radio.do_tx_rx,
-            )
-            .contains(iv.start)
-            {
-                self.blankers.push(tx.node as u32);
+            );
+            if widened.overlaps(&iv) {
+                self.blankers.push((tx.node as u32, widened));
             }
         }
     }

@@ -12,7 +12,10 @@
 //! indexed by node id — rather than one boxed struct per node. The hot
 //! loop (presence checks, buffer fronts, stats bumps) then walks flat,
 //! homogeneous vectors: cache-friendly and allocation-free per event at
-//! large N.
+//! large N. What a node transmitted and when it listens is not kept here:
+//! the engine's shared, time-ordered transmission records and per-cluster
+//! listen timelines hold both, and collisions, half-duplex blanking and
+//! reception geometry query them by time.
 
 use nd_core::interval::Interval;
 use nd_core::time::Tick;
@@ -86,12 +89,6 @@ pub(crate) struct NodeArena {
     pub present: Vec<bool>,
     /// The behaviour returned an empty batch → nothing more proactive.
     pub proactive_done: Vec<bool>,
-    /// Own transmissions in start order (pruned lazily; half-duplex
-    /// blanking). Scheduled *listening* windows live in the engine's
-    /// per-cluster timeline, not here: reception geometry queries them
-    /// by time across the whole neighborhood.
-    pub own_tx: Vec<Vec<Interval>>,
-    pub own_tx_prune: Vec<usize>,
     pub stats: Vec<DeviceStats>,
     /// Per-node private RNG streams, derived from the run seed and the
     /// node's stream id — behaviours and fault rolls for one node never
@@ -107,8 +104,6 @@ impl NodeArena {
             leave: Vec::with_capacity(n),
             present: Vec::with_capacity(n),
             proactive_done: Vec::with_capacity(n),
-            own_tx: Vec::with_capacity(n),
-            own_tx_prune: Vec::with_capacity(n),
             stats: Vec::with_capacity(n),
             rng: Vec::with_capacity(n),
         }
@@ -128,12 +123,7 @@ impl NodeArena {
         self.leave.push(spec.leave.unwrap_or(STAYS));
         self.present.push(false);
         self.proactive_done.push(false);
-        self.own_tx.push(Vec::new());
-        self.own_tx_prune.push(0);
-        self.stats.push(DeviceStats {
-            label: self.behavior[id].label(),
-            ..DeviceStats::default()
-        });
+        self.stats.push(DeviceStats::default());
         self.rng
             .push(StdRng::seed_from_u64(nd_core::seed::stream_seed(
                 run_seed, stream,

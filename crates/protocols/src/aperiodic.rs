@@ -54,13 +54,12 @@ impl RandomScanner {
 }
 
 impl Behavior for RandomScanner {
-    fn next_ops(&mut self, after: Tick, rng: &mut dyn RngCore) -> Vec<Op> {
+    fn next_ops_into(&mut self, after: Tick, rng: &mut dyn RngCore, out: &mut Vec<Op>) {
         // jump to the frame containing/after `after`
         let f = after.as_nanos() / self.frame.as_nanos();
         if f > self.next_frame {
             self.next_frame = f;
         }
-        let mut out = Vec::with_capacity(4);
         for _ in 0..4 {
             let base = Tick(self.next_frame * self.frame.as_nanos());
             let span = (self.frame - self.window).as_nanos();
@@ -78,11 +77,6 @@ impl Behavior for RandomScanner {
             }
             self.next_frame += 1;
         }
-        out
-    }
-
-    fn label(&self) -> String {
-        format!("random-scanner(γ={:.3})", self.gamma())
     }
 }
 
@@ -122,12 +116,11 @@ impl SlidingScanner {
 }
 
 impl Behavior for SlidingScanner {
-    fn next_ops(&mut self, after: Tick, _rng: &mut dyn RngCore) -> Vec<Op> {
+    fn next_ops_into(&mut self, after: Tick, _rng: &mut dyn RngCore, out: &mut Vec<Op>) {
         let f = after.as_nanos() / self.frame.as_nanos();
         if f > self.next_frame {
             self.next_frame = f;
         }
-        let mut out = Vec::with_capacity(4);
         for _ in 0..4 {
             let k = self.next_frame;
             let base = Tick(k * self.frame.as_nanos());
@@ -140,11 +133,6 @@ impl Behavior for SlidingScanner {
             }
             self.next_frame += 1;
         }
-        out
-    }
-
-    fn label(&self) -> String {
-        "sliding-scanner".into()
     }
 }
 

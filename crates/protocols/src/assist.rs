@@ -73,22 +73,15 @@ impl MutualAssist {
 }
 
 impl Behavior for MutualAssist {
-    fn next_ops(&mut self, after: Tick, rng: &mut dyn RngCore) -> Vec<Op> {
+    fn next_ops_into(&mut self, after: Tick, rng: &mut dyn RngCore, out: &mut Vec<Op>) {
         // annotate every outgoing beacon with the next own window start
-        self.inner
-            .next_ops(after, rng)
-            .into_iter()
-            .map(|op| match op {
-                Op::Tx { at, .. } => {
-                    let announce = self.next_window_after(at).map_or(0, |w| w.as_nanos());
-                    Op::Tx {
-                        at,
-                        payload: announce,
-                    }
-                }
-                rx => rx,
-            })
-            .collect()
+        let start = out.len();
+        self.inner.next_ops_into(after, rng, out);
+        for op in &mut out[start..] {
+            if let Op::Tx { at, payload } = op {
+                *payload = self.next_window_after(*at).map_or(0, |w| w.as_nanos());
+            }
+        }
     }
 
     fn on_reception(
@@ -110,10 +103,6 @@ impl Behavior for MutualAssist {
             at: window_start + self.reply_offset,
             payload: 0,
         }]
-    }
-
-    fn label(&self) -> String {
-        "mutual-assist".into()
     }
 }
 

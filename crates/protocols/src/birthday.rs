@@ -62,13 +62,13 @@ impl Birthday {
 }
 
 impl Behavior for Birthday {
-    fn next_ops(&mut self, after: Tick, rng: &mut dyn RngCore) -> Vec<Op> {
+    fn next_ops_into(&mut self, after: Tick, rng: &mut dyn RngCore, out: &mut Vec<Op>) {
         if self.cursor < after {
             // jump to the slot grid at/after `after`
             let k = after.as_nanos().div_ceil(self.slot.as_nanos());
             self.cursor = Tick(k * self.slot.as_nanos());
         }
-        let mut out = Vec::new();
+        let start = out.len();
         // emit slots until at least one op is produced (bounded batch)
         for _ in 0..4096 {
             let at = self.cursor;
@@ -82,15 +82,10 @@ impl Behavior for Birthday {
                     duration: self.slot,
                 });
             }
-            if out.len() >= 16 {
+            if out.len() - start >= 16 {
                 break;
             }
         }
-        out
-    }
-
-    fn label(&self) -> String {
-        format!("birthday({:.3},{:.3})", self.p_tx, self.p_rx)
     }
 }
 

@@ -35,19 +35,16 @@ impl<B: Behavior> Jittered<B> {
 }
 
 impl<B: Behavior> Behavior for Jittered<B> {
-    fn next_ops(&mut self, after: Tick, rng: &mut dyn RngCore) -> Vec<Op> {
-        let mut ops = self.inner.next_ops(after, rng);
-        for op in &mut ops {
-            if let Op::Tx { at, payload } = *op {
-                let j = Tick(rng.gen_range(0..=self.max_jitter.as_nanos()));
-                *op = Op::Tx {
-                    at: at + j,
-                    payload,
-                };
+    fn next_ops_into(&mut self, after: Tick, rng: &mut dyn RngCore, out: &mut Vec<Op>) {
+        let start = out.len();
+        self.inner.next_ops_into(after, rng, out);
+        let ops = &mut out[start..];
+        for op in ops.iter_mut() {
+            if let Op::Tx { at, .. } = op {
+                *at += Tick(rng.gen_range(0..=self.max_jitter.as_nanos()));
             }
         }
         ops.sort_by_key(|op| op.at());
-        ops
     }
 
     fn on_reception(
@@ -58,10 +55,6 @@ impl<B: Behavior> Behavior for Jittered<B> {
         rng: &mut dyn RngCore,
     ) -> Vec<Op> {
         self.inner.on_reception(at, from, payload, rng)
-    }
-
-    fn label(&self) -> String {
-        format!("{}+jitter({})", self.inner.label(), self.max_jitter)
     }
 }
 
@@ -103,11 +96,11 @@ impl RoundJittered {
 }
 
 impl Behavior for RoundJittered {
-    fn next_ops(&mut self, after: Tick, rng: &mut dyn RngCore) -> Vec<Op> {
+    fn next_ops_into(&mut self, after: Tick, rng: &mut dyn RngCore, out: &mut Vec<Op>) {
         let tb = self.beacons.period();
         let lambda = self.beacons.mean_gap();
         let omega = self.beacons.omega();
-        let mut out = Vec::new();
+        let start = out.len();
         // emit whole rounds until one reaches `after`
         while Tick(self.round * tb.as_nanos()) + tb <= after {
             self.round += 1;
@@ -119,10 +112,10 @@ impl Behavior for RoundJittered {
             let cap = lambda.saturating_sub(omega).as_nanos().max(1);
             let shift = Tick(rng.gen_range(0..cap));
             for &t in self.beacons.times() {
-                out.push(Op::Tx {
-                    at: base + t + shift,
-                    payload: 0,
-                });
+                let at = base + t + shift;
+                if at >= after {
+                    out.push(Op::Tx { at, payload: 0 });
+                }
             }
             self.round += 1;
         }
@@ -130,20 +123,16 @@ impl Behavior for RoundJittered {
         if let Some(c) = &self.windows {
             let until = Tick(self.round * tb.as_nanos()) + c.period();
             for iv in c.instances_in(self.emitted_rx_until, until) {
-                out.push(Op::Rx {
-                    at: iv.start,
-                    duration: iv.measure(),
-                });
+                if iv.start >= after {
+                    out.push(Op::Rx {
+                        at: iv.start,
+                        duration: iv.measure(),
+                    });
+                }
             }
             self.emitted_rx_until = until;
         }
-        out.retain(|op| op.at() >= after);
-        out.sort_by_key(|op| op.at());
-        out
-    }
-
-    fn label(&self) -> String {
-        "round-jitter".into()
+        out[start..].sort_by_key(|op| op.at());
     }
 }
 
@@ -212,9 +201,20 @@ mod tests {
     }
 
     #[test]
-    fn label_mentions_jitter() {
-        let j = Jittered::new(advertiser(), Tick::from_micros(100));
-        assert!(j.label().contains("jitter"));
+    fn jitter_leaves_earlier_ops_alone() {
+        // a batch appended after a late op is jittered and sorted on its
+        // own: the op already in the buffer stays first and unmoved
+        let late = Op::Rx {
+            at: Tick::from_secs(1),
+            duration: Tick(1),
+        };
+        let mut j = Jittered::new(advertiser(), Tick::from_micros(500));
+        let mut twin = Jittered::new(advertiser(), Tick::from_micros(500));
+        let mut out = vec![late];
+        j.next_ops_into(Tick::ZERO, &mut StdRng::seed_from_u64(5), &mut out);
+        let batch = twin.next_ops(Tick::ZERO, &mut StdRng::seed_from_u64(5));
+        assert_eq!(out[0], late);
+        assert_eq!(out[1..], batch[..]);
     }
 
     #[test]

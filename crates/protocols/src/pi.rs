@@ -152,12 +152,11 @@ impl BleAdvertiser {
 }
 
 impl Behavior for BleAdvertiser {
-    fn next_ops(&mut self, after: Tick, rng: &mut dyn RngCore) -> Vec<Op> {
+    fn next_ops_into(&mut self, after: Tick, rng: &mut dyn RngCore, out: &mut Vec<Op>) {
         if self.next < after {
             self.next = after;
         }
         // emit a handful of advertising events per pull
-        let mut out = Vec::with_capacity(8);
         for _ in 0..8 {
             out.push(Op::Tx {
                 at: self.next,
@@ -166,11 +165,6 @@ impl Behavior for BleAdvertiser {
             let delay = Tick(rng.gen_range(0..=self.adv_delay_max.as_nanos()));
             self.next = self.next + self.ta + delay;
         }
-        out
-    }
-
-    fn label(&self) -> String {
-        format!("ble-adv({})", self.ta)
     }
 }
 

@@ -32,12 +32,6 @@ impl RoleConfig {
     pub fn schedule(&self, omega: Tick) -> Result<Schedule, NdError> {
         schedule_for_selector(&self.protocol, self.eta, self.slot, omega)
     }
-
-    /// A human-readable `protocol@eta` tag (used to label simulated
-    /// devices so traces and stats identify the role).
-    pub fn label(&self) -> String {
-        format!("{}@{}", self.protocol, self.eta)
-    }
 }
 
 /// A pair of roles: role A on device/cohort-part 0, role B on the other.
@@ -154,7 +148,6 @@ mod tests {
         };
         let (a, b) = pair.schedules(Tick::from_micros(36)).unwrap();
         assert_ne!(a, b);
-        assert_eq!(pair.a.label(), "disco@0.1");
     }
 
     #[test]

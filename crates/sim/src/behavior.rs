@@ -46,22 +46,23 @@ impl Op {
 
 /// A protocol instance running on one simulated device.
 ///
-/// The engine calls [`Behavior::next_ops`] whenever it has exhausted the
-/// device's buffered operations; returning an empty vector means the device
+/// The engine calls [`Behavior::next_ops_into`] whenever it has exhausted
+/// the device's buffered operations; an empty batch means the device
 /// schedules nothing further on its own (it may still react to receptions).
 pub trait Behavior {
-    /// Produce the next batch of operations starting at or after `after`.
+    /// Append the next batch of operations starting at or after `after`
+    /// to `out`, leaving what `out` already holds untouched.
     ///
-    /// Implementations must return ops sorted by start time, all `≥ after`;
-    /// returning an empty batch permanently idles the proactive side.
-    fn next_ops(&mut self, after: Tick, rng: &mut dyn RngCore) -> Vec<Op>;
+    /// The appended ops must be sorted by start time, all `≥ after`; an
+    /// empty batch permanently idles the proactive side. The engine passes
+    /// a reused scratch buffer, so steady-state refills allocate nothing.
+    fn next_ops_into(&mut self, after: Tick, rng: &mut dyn RngCore, out: &mut Vec<Op>);
 
-    /// Append the next batch of operations to `out` (same contract as
-    /// [`Behavior::next_ops`]). Engines on the hot path call this with a
-    /// reused scratch buffer so steady-state refills allocate nothing;
-    /// behaviours with their own emission machinery override it.
-    fn next_ops_into(&mut self, after: Tick, rng: &mut dyn RngCore, out: &mut Vec<Op>) {
-        out.extend(self.next_ops(after, rng));
+    /// The next batch as a fresh vector (see [`Behavior::next_ops_into`]).
+    fn next_ops(&mut self, after: Tick, rng: &mut dyn RngCore) -> Vec<Op> {
+        let mut out = Vec::new();
+        self.next_ops_into(after, rng, &mut out);
+        out
     }
 
     /// Called when this device successfully receives a beacon; may return
@@ -77,11 +78,6 @@ pub trait Behavior {
         let _ = (at, from, payload, rng);
         Vec::new()
     }
-
-    /// A short human-readable protocol label for traces and reports.
-    fn label(&self) -> String {
-        "behavior".into()
-    }
 }
 
 /// Drives a static periodic [`Schedule`] (beacon sequence + reception
@@ -95,7 +91,6 @@ pub struct ScheduleBehavior {
     schedule: Schedule,
     phase_b: Tick,
     phase_c: Tick,
-    label: String,
     /// Ops are generated one schedule period at a time; these cursors
     /// remember how far each side has been emitted.
     emitted_until_b: Tick,
@@ -122,18 +117,11 @@ impl ScheduleBehavior {
             schedule,
             phase_b: phase,
             phase_c: phase,
-            label: "schedule".into(),
             emitted_until_b: Tick::ZERO,
             emitted_until_c: Tick::ZERO,
             scratch_tx: Vec::new(),
             scratch_rx: Vec::new(),
         }
-    }
-
-    /// Set a descriptive label (protocol name) for reports.
-    pub fn labeled(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
     }
 
     /// Access the underlying schedule.
@@ -181,32 +169,12 @@ impl ScheduleBehavior {
         });
         self.emitted_until_c = until;
     }
-
-    /// The emission chunk: one max(T_B, T_C) at a time.
-    fn chunk(&self) -> Tick {
-        let tb = self
-            .schedule
-            .beacons
-            .as_ref()
-            .map_or(Tick::ZERO, |b| b.period());
-        let tc = self
-            .schedule
-            .windows
-            .as_ref()
-            .map_or(Tick::ZERO, |c| c.period());
-        tb.max(tc).max(Tick(1))
-    }
 }
 
 impl Behavior for ScheduleBehavior {
-    fn next_ops(&mut self, after: Tick, rng: &mut dyn RngCore) -> Vec<Op> {
-        let mut out = Vec::new();
-        self.next_ops_into(after, rng, &mut out);
-        out
-    }
-
     fn next_ops_into(&mut self, after: Tick, _rng: &mut dyn RngCore, out: &mut Vec<Op>) {
-        let chunk = self.chunk();
+        // the emission chunk: one schedule period, max(T_B, T_C), at a time
+        let chunk = self.schedule.period();
         let mut txs = std::mem::take(&mut self.scratch_tx);
         let mut rxs = std::mem::take(&mut self.scratch_rx);
         txs.clear();
@@ -240,17 +208,9 @@ impl Behavior for ScheduleBehavior {
         self.scratch_tx = txs;
         self.scratch_rx = rxs;
     }
-
-    fn label(&self) -> String {
-        self.label.clone()
-    }
 }
 
 impl<B: Behavior + ?Sized> Behavior for Box<B> {
-    fn next_ops(&mut self, after: Tick, rng: &mut dyn RngCore) -> Vec<Op> {
-        (**self).next_ops(after, rng)
-    }
-
     fn next_ops_into(&mut self, after: Tick, rng: &mut dyn RngCore, out: &mut Vec<Op>) {
         (**self).next_ops_into(after, rng, out)
     }
@@ -264,10 +224,6 @@ impl<B: Behavior + ?Sized> Behavior for Box<B> {
     ) -> Vec<Op> {
         (**self).on_reception(at, from, payload, rng)
     }
-
-    fn label(&self) -> String {
-        (**self).label()
-    }
 }
 
 /// A behaviour that does nothing proactively (pure sink; useful for tests
@@ -275,13 +231,7 @@ impl<B: Behavior + ?Sized> Behavior for Box<B> {
 pub struct IdleBehavior;
 
 impl Behavior for IdleBehavior {
-    fn next_ops(&mut self, _after: Tick, _rng: &mut dyn RngCore) -> Vec<Op> {
-        Vec::new()
-    }
-
-    fn label(&self) -> String {
-        "idle".into()
-    }
+    fn next_ops_into(&mut self, _after: Tick, _rng: &mut dyn RngCore, _out: &mut Vec<Op>) {}
 }
 
 #[cfg(test)]
@@ -383,10 +333,9 @@ mod tests {
     fn tx_only_schedule() {
         let b =
             BeaconSeq::uniform(1, Tick::from_micros(50), Tick::from_micros(4), Tick::ZERO).unwrap();
-        let mut beh = ScheduleBehavior::new(Schedule::tx_only(b)).labeled("adv");
+        let mut beh = ScheduleBehavior::new(Schedule::tx_only(b));
         let ops = beh.next_ops(Tick::ZERO, &mut rng());
         assert!(ops.iter().all(|op| matches!(op, Op::Tx { .. })));
-        assert_eq!(beh.label(), "adv");
     }
 
     #[test]

@@ -322,38 +322,6 @@ impl Topology {
             }
         }
     }
-
-    /// Number of ordered pairs `(tx, rx)` with `in_range(tx, rx)` — the
-    /// denominator of cohort completion. O(1) for full, O(n) for
-    /// clustered, O(n²) for dense topologies.
-    pub fn ordered_in_range_pairs(&self) -> u64 {
-        match &self.repr {
-            TopologyRepr::Full => {
-                let n = self.n as u64;
-                n.saturating_mul(n.saturating_sub(1))
-            }
-            TopologyRepr::Clusters(c) => {
-                let mut sizes: std::collections::HashMap<u32, u64> =
-                    std::collections::HashMap::new();
-                for &ci in c {
-                    *sizes.entry(ci).or_insert(0) += 1;
-                }
-                sizes.values().map(|&k| k * (k - 1)).sum()
-            }
-            TopologyRepr::Dense { audible, .. } => {
-                let n = self.n;
-                let mut count = 0u64;
-                for tx in 0..n {
-                    for rx in 0..n {
-                        if tx != rx && audible[tx * n + rx] {
-                            count += 1;
-                        }
-                    }
-                }
-                count
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -409,7 +377,6 @@ mod tests {
         assert!(!t.in_range(0, 1) && !t.in_range(2, 3));
         assert!(!t.in_range(1, 1), "never in range of self");
         assert_eq!(t.link_loss(0, 2), 0.0);
-        assert_eq!(t.ordered_in_range_pairs(), 4);
     }
 
     #[test]
@@ -421,7 +388,6 @@ mod tests {
         let full = Topology::full(3);
         assert_eq!(full.shards(), vec![vec![0, 1, 2]]);
         assert_eq!(full.cluster_assignments(), vec![0, 0, 0]);
-        assert_eq!(full.ordered_in_range_pairs(), 6);
         assert!(Topology::full(0).shards().is_empty());
     }
 
@@ -451,6 +417,5 @@ mod tests {
         // components now merge across the bridge
         assert_eq!(t.cluster_assignments(), vec![0, 0, 0]);
         assert_eq!(t.shards().len(), 1);
-        assert_eq!(t.ordered_in_range_pairs(), 3);
     }
 }

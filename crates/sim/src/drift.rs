@@ -85,12 +85,6 @@ impl<B: Behavior> Drifting<B> {
 }
 
 impl<B: Behavior> Behavior for Drifting<B> {
-    fn next_ops(&mut self, after: Tick, rng: &mut dyn RngCore) -> Vec<Op> {
-        let mut ops = Vec::new();
-        self.next_ops_into(after, rng, &mut ops);
-        ops
-    }
-
     fn next_ops_into(&mut self, after: Tick, rng: &mut dyn RngCore, out: &mut Vec<Op>) {
         let start = out.len();
         self.inner.next_ops_into(self.sim_to_local(after), rng, out);
@@ -113,17 +107,13 @@ impl<B: Behavior> Behavior for Drifting<B> {
         }
         ops
     }
-
-    fn label(&self) -> String {
-        format!("{}@{:+}ppb", self.inner.label(), self.ppb)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::behavior::ScheduleBehavior;
-    use nd_core::schedule::{BeaconSeq, ReceptionWindows, Schedule};
+    use nd_core::schedule::{BeaconSeq, Schedule};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -148,15 +138,15 @@ mod tests {
     #[test]
     fn positive_drift_stretches_sim_intervals() {
         // +100 ppm: the local second lasts 1.0001 sim-seconds, so the
-        // "every 1 ms" beacons land at sim instants k·(1 ms + 100 ns)
+        // "every 1 ms" beacons land at sim instants k·(1 ms + 100 ns);
+        // each batch is appended to the same buffer and only it is mapped
         let mut drifted = Drifting::ppm(advertiser(), 100);
         let mut rng = StdRng::seed_from_u64(1);
         let mut ops = Vec::new();
         let mut after = Tick::ZERO;
         while ops.len() < 4 {
-            let batch = drifted.next_ops(after, &mut rng);
-            after = batch.last().unwrap().at() + Tick(1);
-            ops.extend(batch);
+            drifted.next_ops_into(after, &mut rng, &mut ops);
+            after = ops.last().unwrap().at() + Tick(1);
         }
         // beacon k at k·(1 ms + 100 ns)
         assert_eq!(ops[1].at(), Tick(1_000_000 + 100));
@@ -217,49 +207,6 @@ mod tests {
                 assert_eq!(d.to_sim(Tick(t)), Tick(wide(t, ppb)), "t={t} ppb={ppb}");
             }
         }
-    }
-
-    /// Mapping in place through `next_ops_into` emits what `next_ops`
-    /// does, batch after batch, appending after what `out` already holds.
-    #[test]
-    fn next_ops_into_matches_next_ops() {
-        let schedule = Schedule::full(
-            BeaconSeq::uniform(2, Tick::from_millis(3), Tick::from_micros(36), Tick::ZERO).unwrap(),
-            ReceptionWindows::single(
-                Tick::from_micros(700),
-                Tick::from_micros(450),
-                Tick::from_millis(2),
-            )
-            .unwrap(),
-        );
-        for ppb in [-730_000, -40_000, 0, 25_000, 999_999] {
-            let behavior = || ScheduleBehavior::with_phase(schedule.clone(), Tick(123_456));
-            let (mut a, mut b) = (
-                Drifting::new(behavior(), ppb),
-                Drifting::new(behavior(), ppb),
-            );
-            let (mut ra, mut rb) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
-            let mut out = vec![Op::Tx {
-                at: Tick(7),
-                payload: 1,
-            }];
-            let mut expect = out.clone();
-            let mut after = Tick::ZERO;
-            for _ in 0..20 {
-                let batch = a.next_ops(after, &mut ra);
-                b.next_ops_into(after, &mut rb, &mut out);
-                expect.extend_from_slice(&batch);
-                assert_eq!(out, expect, "ppb={ppb} after={after:?}");
-                after = batch.last().unwrap().at() + Tick(1);
-            }
-        }
-    }
-
-    #[test]
-    fn label_carries_drift() {
-        assert!(Drifting::ppm(advertiser(), 50)
-            .label()
-            .contains("+50000ppb"));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! pairwise case):
 //!
 //! * radios sleep, transmit beacons of airtime ω, or listen in reception
-//!   windows ([`behavior::Op`]), driven by [`behavior::Behavior`]s —
+//!   windows ([`behavior::Op`]), driven by [`behavior::Behavior`]s, which
+//!   append each sorted batch of ops to the engine's buffer —
 //!   static periodic schedules use [`behavior::ScheduleBehavior`],
 //!   reactive protocols (mutual assistance, BLE advDelay) implement the
 //!   trait directly, and [`drift::Drifting`] skews any of them;
@@ -17,8 +18,9 @@
 //!   half-duplex radios blank their own windows (Appendix A.5), and
 //!   smoltcp-style fault injection can drop packets; [`config::Topology`]
 //!   says who hears whom;
-//! * [`stats`] holds what a run measures: per-device airtime and energy,
-//!   the first-discovery matrix and the packet counters.
+//! * [`stats`] holds what a run measures: per-device counters (airtime,
+//!   beacons, windows, receptions; duty cycles and energy follow from
+//!   them), the first-discovery matrix and the packet counters.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -7,8 +7,6 @@ use nd_core::time::Tick;
 /// Energy/airtime accounting for one device.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct DeviceStats {
-    /// Protocol label (from the behaviour).
-    pub label: String,
     /// Total transmission airtime.
     pub tx_time: Tick,
     /// Total scheduled listening time.
@@ -179,7 +177,6 @@ mod tests {
     #[test]
     fn device_stats_duty_cycles() {
         let s = DeviceStats {
-            label: "x".into(),
             tx_time: Tick::from_millis(10),
             rx_time: Tick::from_millis(30),
             n_tx: 100,
@@ -195,7 +192,6 @@ mod tests {
     #[test]
     fn overhead_eta_exceeds_ideal() {
         let s = DeviceStats {
-            label: "x".into(),
             tx_time: Tick::from_millis(10),
             rx_time: Tick::from_millis(30),
             n_tx: 100,
@@ -214,7 +210,6 @@ mod tests {
     #[test]
     fn energy_accounting() {
         let s = DeviceStats {
-            label: "x".into(),
             tx_time: Tick::from_millis(10),
             rx_time: Tick::from_millis(30),
             n_tx: 100,

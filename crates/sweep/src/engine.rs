@@ -461,8 +461,8 @@ fn exec_montecarlo(job: &Job, spec: &ScenarioSpec) -> Result<BTreeMap<String, f6
     let base_cfg = job.base_sim_config(spec);
     let radio = base_cfg.radio;
 
-    let period_a = schedule_period(&sched_a);
-    let period_b = schedule_period(&sched_b);
+    let period_a = sched_a.period();
+    let period_b = sched_b.period();
     let mut rng = StdRng::seed_from_u64(job_seed);
     let mut latencies: Vec<Option<Tick>> = Vec::with_capacity(spec.sim.trials);
     let mut eta_acc = 0.0;
@@ -552,7 +552,6 @@ fn exec_montecarlo(job: &Job, spec: &ScenarioSpec) -> Result<BTreeMap<String, f6
 /// content-hash seed, so results are reproducible across hosts and
 /// thread counts.
 fn exec_netsim(job: &Job, spec: &ScenarioSpec) -> Result<BTreeMap<String, f64>, String> {
-    let pair = job.role_pair();
     let (sched_a, sched_b) = build_role_schedules(job, spec)?;
     let n = job.nodes as usize;
     if n < 2 {
@@ -576,8 +575,8 @@ fn exec_netsim(job: &Job, spec: &ScenarioSpec) -> Result<BTreeMap<String, f64>, 
     let (predicted, horizon, deadline) = resolve_horizon(&classes, spec)?;
     let base_cfg = job.base_sim_config(spec);
     let radio = base_cfg.radio;
-    let period_a = schedule_period(&sched_a);
-    let period_b = schedule_period(&sched_b);
+    let period_a = sched_a.period();
+    let period_b = sched_b.period();
     let metric = match spec.metric {
         Metric::OneWay => PairMetric::OneWay,
         Metric::TwoWay => PairMetric::TwoWay,
@@ -605,20 +604,20 @@ fn exec_netsim(job: &Job, spec: &ScenarioSpec) -> Result<BTreeMap<String, f64>, 
         };
         let mut sim = NetSimulator::new(cfg, Topology::full(n));
         for i in 0..n {
-            let (sched, period, role) = if is_role_b(i) {
-                (&sched_b, period_b, &pair.b)
+            let (sched, period) = if is_role_b(i) {
+                (&sched_b, period_b)
             } else {
-                (&sched_a, period_a, &pair.a)
+                (&sched_a, period_a)
             };
             let phase = random_phase(period, &mut rng);
-            let behavior = ScheduleBehavior::with_phase(sched.clone(), phase).labeled(role.label());
+            let behavior = ScheduleBehavior::with_phase(sched.clone(), phase);
             let behavior: Box<dyn Behavior> = if job.drift_ppm == 0 {
                 Box::new(behavior)
             } else {
                 // every node drifts independently within ±drift_ppm
                 let span = job.drift_ppm.unsigned_abs() as i64 * 1000;
                 let ppb = rng.gen_range(-span..=span);
-                Box::new(Drifting::new(Box::new(behavior) as Box<dyn Behavior>, ppb))
+                Box::new(Drifting::new(behavior, ppb))
             };
             sim.add_node(NodeSpec::windowed(behavior, plan.joins[i], plan.leaves[i]));
         }
@@ -717,19 +716,10 @@ fn exec_netsim(job: &Job, spec: &ScenarioSpec) -> Result<BTreeMap<String, f64>, 
     Ok(m)
 }
 
-fn schedule_period(sched: &Schedule) -> Tick {
-    sched
-        .beacons
-        .as_ref()
-        .map(|b| b.period())
-        .into_iter()
-        .chain(sched.windows.as_ref().map(|w| w.period()))
-        .max()
-        .unwrap_or(Tick(1))
-}
-
+/// A uniform initial phase in `[0, period)` (`period` is a
+/// [`Schedule::period`], at least 1 ns).
 fn random_phase(period: Tick, rng: &mut StdRng) -> Tick {
-    Tick(rng.gen_range(0..period.as_nanos().max(1)))
+    Tick(rng.gen_range(0..period.as_nanos()))
 }
 
 #[cfg(test)]

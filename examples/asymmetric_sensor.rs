@@ -66,13 +66,13 @@ fn main() {
     sim_cfg.collisions = false;
     sim_cfg.half_duplex = false;
     let mut sim = NetSimulator::new(sim_cfg, Topology::full(2));
-    sim.add_node(NodeSpec::always_on(Box::new(
-        ScheduleBehavior::new(sensor.schedule.clone()).labeled("sensor"),
-    )));
-    sim.add_node(NodeSpec::always_on(Box::new(
-        ScheduleBehavior::with_phase(gateway.schedule.clone(), Tick::from_micros(7777))
-            .labeled("gateway"),
-    )));
+    sim.add_node(NodeSpec::always_on(Box::new(ScheduleBehavior::new(
+        sensor.schedule.clone(),
+    ))));
+    sim.add_node(NodeSpec::always_on(Box::new(ScheduleBehavior::with_phase(
+        gateway.schedule.clone(),
+        Tick::from_micros(7777),
+    ))));
     sim.stop_when_all_discovered(true);
     let report = sim.run();
     println!(

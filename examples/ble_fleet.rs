@@ -36,9 +36,9 @@ fn main() {
     cfg.drop_probability = drop_pct / 100.0;
     let mut sim = NetSimulator::new(cfg, Topology::full(n_adv + 1));
     let scanner_id = 0;
-    sim.add_node(NodeSpec::always_on(Box::new(
-        ScheduleBehavior::new(ble.scanner().unwrap()).labeled("scanner"),
-    )));
+    sim.add_node(NodeSpec::always_on(Box::new(ScheduleBehavior::new(
+        ble.scanner().unwrap(),
+    ))));
     for _ in 0..n_adv {
         sim.add_node(NodeSpec::always_on(Box::new(BleAdvertiser::new(ble.ta))));
     }
