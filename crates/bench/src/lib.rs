@@ -9,14 +9,13 @@
 //! cargo run -p nd-bench --release --bin experiments -- <id>|all|list
 //! ```
 //!
-//! Criterion performance benchmarks live in `benches/`.
+//! `examples/netsim_profile.rs` times the netsim hot loop on one
+//! full-mesh cohort.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod experiments;
-pub mod summary;
 pub mod table;
 
 pub use experiments::{all_experiments, run_experiment};
-pub use summary::{measure, Summary};

@@ -1,4 +1,4 @@
-//! Candidate evaluation behind one trait, on `nd-sweep`'s machinery.
+//! Candidate evaluation on `nd-sweep`'s machinery.
 //!
 //! Every candidate evaluation *is* an `nd-sweep` job: the candidate's
 //! parameters become a fully resolved [`Job`], executed by the same
@@ -8,9 +8,9 @@
 //! sweeps of the same points, and a re-run of the same search is served
 //! entirely from cache.
 //!
-//! The three evaluators differ only in which backend the embedded spec
-//! selects and which metric key realizes the latency objective; the
-//! [`Evaluator`] trait carries exactly that.
+//! Exact analysis, Monte-Carlo and netsim evaluation differ only in
+//! which backend the embedded spec selects and which metric key realizes
+//! the latency objective; one [`Evaluator`] carries exactly that.
 
 use crate::spec::{Objective, OptSpec};
 use nd_core::time::Tick;
@@ -71,41 +71,15 @@ pub struct Evaluation {
     pub from_cache: bool,
 }
 
-/// A latency evaluator for candidates of one search.
+/// A latency evaluator for candidates of one search: a configured
+/// scenario spec plus the objective's metric key.
 ///
-/// Implementations are thin façades over a configured scenario spec; the
+/// The backend the embedded spec selects (exact coverage analysis,
+/// pairwise Monte-Carlo, or N-node netsim cohorts) does the work; the
 /// split between [`Evaluator::run`] (produce the raw metric row,
 /// expensive) and [`Evaluator::interpret`] (extract objectives, cheap)
 /// lets the optimizer serve `run` from the content-addressed cache.
-pub trait Evaluator: Sync {
-    /// The backend name (`exact` | `montecarlo` | `netsim`).
-    fn backend_name(&self) -> &'static str;
-
-    /// The metric key realizing the latency objective.
-    fn latency_metric(&self) -> &'static str;
-
-    /// The candidate's content-addressed cache key (shared with
-    /// `nd-sweep` jobs of the same resolved parameters).
-    fn cache_key(&self, cand: &Candidate) -> String;
-
-    /// Compute the candidate's raw metric row (no cache involved).
-    fn run(&self, cand: &Candidate) -> Result<BTreeMap<String, f64>, String>;
-
-    /// Turn a metric row (fresh or cached) into an [`Evaluation`]:
-    /// extract the objectives and screen out candidates whose result does
-    /// not support a worst-case claim (e.g. trials that failed to
-    /// discover within the horizon).
-    fn interpret(
-        &self,
-        cand: &Candidate,
-        metrics: BTreeMap<String, f64>,
-        from_cache: bool,
-    ) -> Result<Evaluation, String>;
-}
-
-/// The shared implementation: a configured scenario spec plus the
-/// objective's metric key.
-struct Harness {
+pub struct Evaluator {
     spec: ScenarioSpec,
     latency_key: &'static str,
     nodes: u32,
@@ -126,7 +100,17 @@ fn allowed_failure(objective: Objective) -> f64 {
     }
 }
 
-impl Harness {
+impl Evaluator {
+    /// The backend name (`exact` | `montecarlo` | `netsim`).
+    pub fn backend_name(&self) -> &'static str {
+        self.spec.backend.name()
+    }
+
+    /// The metric key realizing the latency objective.
+    pub fn latency_metric(&self) -> &'static str {
+        self.latency_key
+    }
+
     /// The candidate as a fully resolved sweep job. Axes the optimizer
     /// does not search take the sweep grammar's defaults (no drift, no
     /// faults, ideal turnaround, random phases, no churn).
@@ -163,11 +147,16 @@ impl Harness {
         }
     }
 
-    fn run(&self, cand: &Candidate) -> Result<BTreeMap<String, f64>, String> {
+    /// Compute the candidate's raw metric row (no cache involved).
+    pub fn run(&self, cand: &Candidate) -> Result<BTreeMap<String, f64>, String> {
         nd_sweep::engine::execute_job(&self.job(cand), &self.spec)
     }
 
-    fn interpret(
+    /// Turn a metric row (fresh or cached) into an [`Evaluation`]:
+    /// extract the objectives and screen out candidates whose result does
+    /// not support a worst-case claim (e.g. trials that failed to
+    /// discover within the horizon).
+    pub fn interpret(
         &self,
         cand: &Candidate,
         metrics: BTreeMap<String, f64>,
@@ -239,57 +228,17 @@ impl Harness {
         })
     }
 
-    fn cache_key(&self, cand: &Candidate) -> String {
+    /// The candidate's content-addressed cache key (shared with
+    /// `nd-sweep` jobs of the same resolved parameters).
+    pub fn cache_key(&self, cand: &Candidate) -> String {
         self.job(cand).content_hash(&self.spec)
     }
 }
 
-macro_rules! facade {
-    ($name:ident, $backend:literal) => {
-        impl Evaluator for $name {
-            fn backend_name(&self) -> &'static str {
-                $backend
-            }
-            fn latency_metric(&self) -> &'static str {
-                self.0.latency_key
-            }
-            fn cache_key(&self, cand: &Candidate) -> String {
-                self.0.cache_key(cand)
-            }
-            fn run(&self, cand: &Candidate) -> Result<BTreeMap<String, f64>, String> {
-                self.0.run(cand)
-            }
-            fn interpret(
-                &self,
-                cand: &Candidate,
-                metrics: BTreeMap<String, f64>,
-                from_cache: bool,
-            ) -> Result<Evaluation, String> {
-                self.0.interpret(cand, metrics, from_cache)
-            }
-        }
-    };
-}
-
-/// Exact coverage-map analysis: nanosecond-precise worst case (or exact
-/// distribution percentiles), no sampling error.
-pub struct ExactEvaluator(Harness);
-facade!(ExactEvaluator, "exact");
-
-/// Pairwise Monte-Carlo simulation: the objective over randomized-phase
-/// trials.
-pub struct MonteCarloEvaluator(Harness);
-facade!(MonteCarloEvaluator, "montecarlo");
-
-/// N-node cohort simulation: the objective over all pairs of a contending
-/// cohort.
-pub struct NetsimEvaluator(Harness);
-facade!(NetsimEvaluator, "netsim");
-
 /// Build the evaluator an opt spec asks for. The embedded scenario spec
 /// is the opt spec's base; for the exact backend, percentile computation
 /// is enabled exactly when the objective needs it.
-pub fn evaluator_for(spec: &OptSpec) -> Result<Box<dyn Evaluator>, SpecError> {
+pub fn evaluator_for(spec: &OptSpec) -> Result<Evaluator, SpecError> {
     spec.validate()?;
     let mut base = spec.base.clone();
     let objective = spec.objective;
@@ -301,58 +250,40 @@ pub fn evaluator_for(spec: &OptSpec) -> Result<Box<dyn Evaluator>, SpecError> {
     } else {
         0.0
     };
-    Ok(match base.backend {
+    let latency_key = match base.backend {
         Backend::Exact => {
             base.percentiles = objective != Objective::Worst;
-            let latency_key = match (objective, base.metric) {
+            match (objective, base.metric) {
                 (Objective::Worst, Metric::TwoWay) => "two_way_worst_s",
                 (Objective::Worst, _) => "worst_s",
                 (Objective::P95, _) => "p95_s",
                 (Objective::P99, _) => "p99_s",
-            };
-            Box::new(ExactEvaluator(Harness {
-                spec: base,
-                latency_key,
-                nodes: spec.nodes,
-                mix,
-                allowed_failure: allowed_failure(objective),
-            }))
+            }
         }
-        Backend::MonteCarlo => {
-            let latency_key = match objective {
-                Objective::Worst => "max_s",
-                Objective::P95 => "p95_s",
-                Objective::P99 => "p99_s",
-            };
-            Box::new(MonteCarloEvaluator(Harness {
-                spec: base,
-                latency_key,
-                nodes: spec.nodes,
-                mix,
-                allowed_failure: allowed_failure(objective),
-            }))
-        }
-        Backend::Netsim => {
-            // pair mode optimizes the cross-role slice of the mixed
-            // cohort — the latencies the (η_E, η_F) front is about —
-            // against the Theorem 5.7 bound; same-role pairs have no
-            // cross-role guarantee and would bias the objective
-            let latency_key = match (objective, spec.pair) {
-                (Objective::Worst, false) => "pair_max_s",
-                (Objective::P95, false) => "pair_p95_s",
-                (Objective::Worst, true) => "cross_max_s",
-                (Objective::P95, true) => "cross_p95_s",
-                (Objective::P99, _) => unreachable!("rejected by OptSpec::validate"),
-            };
-            Box::new(NetsimEvaluator(Harness {
-                spec: base,
-                latency_key,
-                nodes: spec.nodes,
-                mix,
-                allowed_failure: allowed_failure(objective),
-            }))
-        }
+        Backend::MonteCarlo => match objective {
+            Objective::Worst => "max_s",
+            Objective::P95 => "p95_s",
+            Objective::P99 => "p99_s",
+        },
+        // pair mode optimizes the cross-role slice of the mixed cohort —
+        // the latencies the (η_E, η_F) front is about — against the
+        // Theorem 5.7 bound; same-role pairs have no cross-role guarantee
+        // and would bias the objective
+        Backend::Netsim => match (objective, spec.pair) {
+            (Objective::Worst, false) => "pair_max_s",
+            (Objective::P95, false) => "pair_p95_s",
+            (Objective::Worst, true) => "cross_max_s",
+            (Objective::P95, true) => "cross_p95_s",
+            (Objective::P99, _) => unreachable!("rejected by OptSpec::validate"),
+        },
         Backend::Bounds => unreachable!("rejected by OptSpec::validate"),
+    };
+    Ok(Evaluator {
+        spec: base,
+        latency_key,
+        nodes: spec.nodes,
+        mix,
+        allowed_failure: allowed_failure(objective),
     })
 }
 
@@ -366,7 +297,7 @@ pub fn evaluator_for(spec: &OptSpec) -> Result<Box<dyn Evaluator>, SpecError> {
 /// `sim.trials` reduced ([`ScenarioSpec::with_trials`]), so its jobs live
 /// in their own content-hash universe: distinct cache keys, distinct
 /// derived RNG streams, zero interference with full-budget results.
-pub fn screening_evaluator(spec: &OptSpec) -> Result<Option<Box<dyn Evaluator>>, SpecError> {
+pub fn screening_evaluator(spec: &OptSpec) -> Result<Option<Evaluator>, SpecError> {
     if !spec.adaptive.enabled || spec.base.backend == Backend::Exact {
         return Ok(None);
     }

@@ -9,7 +9,7 @@
 //!    tuned ([`nd_protocols::ParamSpace`]: typed ranges + feasibility
 //!    constraints);
 //! 2. **Evaluators** ([`evaluator`]) — exact coverage analysis,
-//!    Monte-Carlo and N-node netsim behind one [`Evaluator`] trait, each
+//!    Monte-Carlo and N-node netsim behind one [`Evaluator`], each
 //!    evaluation an ordinary `nd-sweep` job (same thread pool, same
 //!    content-addressed result cache);
 //! 3. **The optimizer** ([`optimizer`]) — coarse grid seeding plus

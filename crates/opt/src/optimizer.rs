@@ -224,8 +224,8 @@ pub fn run_opt(spec: &OptSpec, opts: &OptOptions) -> Result<OptOutcome, OptError
         fronts.push(front_for_protocol(
             protocol,
             spec,
-            evaluator.as_ref(),
-            screen.as_deref(),
+            &evaluator,
+            screen.as_ref(),
             margin,
             cache.as_ref(),
             threads,
@@ -277,8 +277,8 @@ fn candidate_at(protocol: &str, space: &ParamSpace, point: &[f64]) -> Result<Can
 fn front_for_protocol(
     protocol: &str,
     spec: &OptSpec,
-    evaluator: &dyn Evaluator,
-    screen: Option<&dyn Evaluator>,
+    evaluator: &Evaluator,
+    screen: Option<&Evaluator>,
     margin: f64,
     cache: Option<&ResultCache>,
     threads: usize,
@@ -591,7 +591,7 @@ fn front_for_protocol(
 /// byte-compatible with ordinary `nd-sweep` entries for the same job.
 fn evaluate_one(
     cand: &Candidate,
-    evaluator: &dyn Evaluator,
+    evaluator: &Evaluator,
     cache: Option<&ResultCache>,
     strict_cache: bool,
 ) -> (Result<Evaluation, String>, bool) {

@@ -182,9 +182,9 @@ confidence = 0.35
 
 /// The acceptance criterion: on a 33-node cohort search, the adaptive
 /// run reproduces the fixed-budget front bit for bit while spending
-/// under a third of the trials (trial cost is deterministic — wall
-/// clock follows it but is not asserted here; `crates/bench` measures
-/// it).
+/// under a third of the trials. The gain is pinned as that count:
+/// trial cost is deterministic, while wall clock follows it with host
+/// noise and is not measured.
 #[test]
 fn netsim_33_node_adaptive_front_is_identical_at_a_third_of_the_trials() {
     let fixed_spec = OptSpec::from_toml_str(NETSIM_33).unwrap();

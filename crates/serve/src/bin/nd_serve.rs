@@ -6,6 +6,7 @@
 
 use nd_opt::OptOptions;
 use nd_serve::{http, App, Pipeline, Planner, Stage};
+use nd_sweep::cache::parse_bytes;
 use nd_sweep::{ResultCache, ENGINE_VERSION};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -153,7 +154,11 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             }
             "--spool" => cli.spool = Some(PathBuf::from(value("--spool")?)),
             "--cache-max-bytes" => {
-                cli.cache_max_bytes = Some(parse_bytes(value("--cache-max-bytes")?)?)
+                let v = value("--cache-max-bytes")?;
+                let n = parse_bytes(v).ok_or_else(|| {
+                    format!("--cache-max-bytes: bad byte count `{v}` (use N, NK, NM or NG)")
+                })?;
+                cli.cache_max_bytes = Some(n);
             }
             "--stage-interval" => {
                 cli.stage_interval = Duration::from_secs(parse_pos(
@@ -183,20 +188,6 @@ fn parse_pos(s: &str, what: &str) -> Result<usize, String> {
         .ok()
         .filter(|n| *n > 0)
         .ok_or_else(|| format!("{what} needs a positive integer"))
-}
-
-/// Parse a byte count with an optional K/M/G suffix (powers of 1024).
-fn parse_bytes(s: &str) -> Result<u64, String> {
-    let (digits, mult) = match s.as_bytes().last() {
-        Some(b'K' | b'k') => (&s[..s.len() - 1], 1u64 << 10),
-        Some(b'M' | b'm') => (&s[..s.len() - 1], 1u64 << 20),
-        Some(b'G' | b'g') => (&s[..s.len() - 1], 1u64 << 30),
-        _ => (s, 1),
-    };
-    digits
-        .parse::<u64>()
-        .map(|n| n * mult)
-        .map_err(|_| format!("--cache-max-bytes: bad byte count `{s}` (use N, NK, NM or NG)"))
 }
 
 fn cmd_serve(args: &[String]) -> ExitCode {

@@ -279,6 +279,14 @@ fn error_taxonomy_over_the_wire() {
     let (status, body) = client.send("POST", "/v1/front", "{ not json");
     assert_eq!((status, error_code(&body)), (400, "bad-request".into()));
 
+    // nesting past the parser's depth limit is a bad request, not a
+    // stack overflow that takes the whole server down
+    let (status, body) = client.send("POST", "/v1/front", &"[".repeat(10_000));
+    assert_eq!((status, error_code(&body)), (400, "bad-request".into()));
+    assert!(body.contains("nested deeper"), "{body}");
+    let (status, _) = client.send("GET", "/healthz", "");
+    assert_eq!(status, 200);
+
     // valid JSON, missing the api version tag
     let (status, body) = client.send("POST", "/v1/front", r#"{"spec": {}}"#);
     assert_eq!((status, error_code(&body)), (400, "bad-request".into()));

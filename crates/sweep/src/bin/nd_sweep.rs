@@ -9,6 +9,7 @@
 //! nd-sweep protocols               # list registry protocol names
 //! ```
 
+use nd_sweep::cache::parse_bytes;
 use nd_sweep::{expand, run_sweep, ResultCache, ScenarioSpec, SweepOptions, ENGINE_VERSION};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -414,17 +415,6 @@ fn cmd_cache(args: &[String]) -> ExitCode {
         }
         _ => fail("cache needs a subcommand: stats | gc"),
     }
-}
-
-/// Parse a byte count with optional K/M/G suffix (powers of 1024).
-fn parse_bytes(s: &str) -> Option<u64> {
-    let (digits, mult) = match s.to_ascii_uppercase() {
-        ref u if u.ends_with('K') => (&s[..s.len() - 1], 1024u64),
-        ref u if u.ends_with('M') => (&s[..s.len() - 1], 1024 * 1024),
-        ref u if u.ends_with('G') => (&s[..s.len() - 1], 1024 * 1024 * 1024),
-        _ => (s, 1),
-    };
-    digits.parse::<u64>().ok().and_then(|n| n.checked_mul(mult))
 }
 
 fn cmd_protocols() -> ExitCode {

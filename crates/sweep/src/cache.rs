@@ -303,6 +303,19 @@ pub struct CacheStats {
     pub bytes: u64,
 }
 
+/// Parse a [`ResultCache::gc`] budget: a byte count with an optional
+/// `K`/`M`/`G` suffix (powers of 1024, either case). `None` when the
+/// text is not a count or the product does not fit in a `u64`.
+pub fn parse_bytes(s: &str) -> Option<u64> {
+    let (digits, mult) = match s.as_bytes().last() {
+        Some(b'K' | b'k') => (&s[..s.len() - 1], 1u64 << 10),
+        Some(b'M' | b'm') => (&s[..s.len() - 1], 1u64 << 20),
+        Some(b'G' | b'g') => (&s[..s.len() - 1], 1u64 << 30),
+        _ => (s, 1),
+    };
+    digits.parse::<u64>().ok()?.checked_mul(mult)
+}
+
 /// What a [`ResultCache::gc`] pass did (or, dry-run, would do).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GcReport {
@@ -473,6 +486,27 @@ mod tests {
         assert!(!orphan.exists(), "stale orphan swept");
         assert!(cache.load(&hash).unwrap().is_some());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn byte_counts_take_binary_suffixes_and_refuse_overflow() {
+        assert_eq!(parse_bytes("0"), Some(0));
+        assert_eq!(parse_bytes("1500"), Some(1500));
+        assert_eq!(parse_bytes("4K"), Some(4 << 10));
+        assert_eq!(parse_bytes("4k"), Some(4 << 10));
+        assert_eq!(parse_bytes("64M"), Some(64 << 20));
+        assert_eq!(parse_bytes("64m"), Some(64 << 20));
+        assert_eq!(parse_bytes("2G"), Some(2 << 30));
+        assert_eq!(parse_bytes("2g"), Some(2 << 30));
+        for bad in ["", "G", "-1", "1.5G", "1T", "K4", " 4K"] {
+            assert_eq!(parse_bytes(bad), None, "{bad:?}");
+        }
+        // 2^34 G is 2^64 bytes: one past u64::MAX, refused rather than
+        // wrapped to a zero budget that would evict everything
+        assert_eq!(parse_bytes("17179869183G"), Some(u64::MAX - (1 << 30) + 1));
+        assert_eq!(parse_bytes("17179869184G"), None);
+        assert_eq!(parse_bytes("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(parse_bytes("18446744073709551616"), None);
     }
 
     #[test]

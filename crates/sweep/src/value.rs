@@ -5,7 +5,9 @@
 //! for the subset of TOML a scenario spec needs — top-level key/values,
 //! `[table]` / `[table.sub]` headers, single- and multi-line arrays,
 //! strings, numbers, booleans, comments — and a complete JSON
-//! reader/writer (the cache and export format).
+//! reader/writer (the cache and export format). Both readers reject
+//! arrays and objects nested deeper than 64 levels, so hostile input
+//! gets a [`ParseError`], not a stack overflow.
 //!
 //! Everything parses into [`Value`]; `spec.rs` maps that onto the typed
 //! [`crate::spec::ScenarioSpec`] with field validation.
@@ -215,6 +217,14 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deep arrays and objects may nest in parsed input. The readers
+/// recurse once per level; deeper input is rejected.
+const MAX_DEPTH: usize = 64;
+
+fn too_deep(line: usize) -> ParseError {
+    err(line, &format!("nested deeper than {MAX_DEPTH} levels"))
+}
+
 // ---------------------------------------------------------------------------
 // TOML subset
 // ---------------------------------------------------------------------------
@@ -267,7 +277,7 @@ pub fn parse_toml(input: &str) -> Result<Value, ParseError> {
             value_text.push(' ');
             value_text.push_str(strip_comment(cont).trim());
         }
-        let value = parse_toml_value(&value_text, line_no)?;
+        let value = parse_toml_value(&value_text, line_no, 0)?;
         let table = table_at(&mut root, &current_path, line_no)?;
         if table.insert(key.clone(), value).is_some() {
             return Err(err(line_no, &format!("duplicate key `{key}`")));
@@ -338,12 +348,16 @@ fn table_at<'a>(
     Ok(cur)
 }
 
-fn parse_toml_value(text: &str, line: usize) -> Result<Value, ParseError> {
+/// Parse one value that sits inside `depth` enclosing arrays.
+fn parse_toml_value(text: &str, line: usize, depth: usize) -> Result<Value, ParseError> {
     let text = text.trim();
     if text.is_empty() {
         return Err(err(line, "missing value"));
     }
     if let Some(inner) = text.strip_prefix('[') {
+        if depth == MAX_DEPTH {
+            return Err(too_deep(line));
+        }
         let inner = inner
             .strip_suffix(']')
             .ok_or_else(|| err(line, "unterminated array"))?;
@@ -353,7 +367,7 @@ fn parse_toml_value(text: &str, line: usize) -> Result<Value, ParseError> {
             if part.is_empty() {
                 continue; // trailing comma
             }
-            out.push(parse_toml_value(part, line)?);
+            out.push(parse_toml_value(part, line, depth + 1)?);
         }
         return Ok(Value::Array(out));
     }
@@ -442,6 +456,7 @@ pub fn parse_json(input: &str) -> Result<Value, ParseError> {
     let mut p = JsonParser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -455,6 +470,8 @@ pub fn parse_json(input: &str) -> Result<Value, ParseError> {
 struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl JsonParser<'_> {
@@ -491,8 +508,8 @@ impl JsonParser<'_> {
     fn value(&mut self) -> Result<Value, ParseError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -500,6 +517,20 @@ impl JsonParser<'_> {
             Some(_) => self.number(),
             None => Err(err(self.line(), "unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object, one level deeper than the caller.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(too_deep(self.line()));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, ParseError> {
@@ -670,6 +701,13 @@ mod tests {
         assert!(parse_toml("k = what").is_err());
         assert!(parse_toml("[unclosed\n").is_err());
         assert!(parse_toml("k = 1\nk = 2\n").is_err());
+        // nesting is bounded: 64 levels parse, 65 and far more are errors
+        let nest = |n: usize| format!("k = {}1{}\n", "[".repeat(n), "]".repeat(n));
+        assert!(parse_toml(&nest(MAX_DEPTH)).is_ok());
+        for n in [MAX_DEPTH + 1, 10_000] {
+            let e = parse_toml(&nest(n)).unwrap_err();
+            assert!(e.message.contains("nested deeper"), "{e}");
+        }
     }
 
     #[test]
@@ -704,5 +742,17 @@ mod tests {
     fn json_errors_carry_lines() {
         let e = parse_json("{\n  \"a\": nope\n}").unwrap_err();
         assert_eq!(e.line, 2);
+        // nesting is bounded: 64 levels parse, deeper input is an error
+        // on the line it went too deep, not a stack overflow
+        let nest = |n: usize| format!("{}1{}", "[{\"k\": ".repeat(n / 2), "}]".repeat(n / 2));
+        assert!(parse_json(&nest(MAX_DEPTH)).is_ok());
+        for (deep, line) in [
+            (nest(MAX_DEPTH + 2), 1),
+            (format!("\n{}", "[".repeat(10_000)), 2),
+        ] {
+            let e = parse_json(&deep).unwrap_err();
+            assert!(e.message.contains("nested deeper"), "{e}");
+            assert_eq!(e.line, line);
+        }
     }
 }
