@@ -8,6 +8,16 @@
 //! `W + l*_k(Φ)` with `W ~ U(0, λ_{k−1}]` and `Φ` uniform — a convolution
 //! of a uniform with the (exactly known) discrete first-hit profile.
 //! [`LatencyDistribution`] evaluates that mixture's CDF in closed form.
+//!
+//! The CDF is read from running sums, and it is bit-identical to the plain
+//! scan that adds `p · clamp((t − l)/gap, 0, 1)` over each component's
+//! profile in delay order. The fraction falls as `l` grows, so the terms
+//! with a fraction of exactly 1 form a prefix. Each of them adds `p`, so
+//! the scan's partial sum after them is the running sum kept in that order.
+//! The partial band after it is added term by term, and the terms from
+//! `l ≥ t` on add +0, which leaves a sum unchanged. The quantile's bisection
+//! stops once its midpoint rounds onto an end. From there on the loop
+//! would repeat the same step, so the result is the one all 80 steps give.
 
 use crate::exact::AnalysisConfig;
 use crate::firsthit::{FirstHitError, FirstHits};
@@ -21,10 +31,42 @@ struct Component {
     weight: f64,
     /// The gap length (the uniform wait's support).
     gap: f64,
-    /// Exact (latency, probability) pairs of the first-hit profile.
-    profile: Vec<(f64, f64)>,
+    /// The first-hit profile's latencies, ascending.
+    delay: Vec<f64>,
+    /// Their exact probabilities.
+    prob: Vec<f64>,
+    /// `run[i]`: the sum of `prob[..i]`, added left to right from 0.
+    run: Vec<f64>,
     /// Probability that this component never discovers.
     undiscovered: f64,
+}
+
+impl Component {
+    /// `P(W + l* ≤ t)` for `t > 0`, with `W ~ U(0, gap]`: the sum over the
+    /// profile of `p · clamp((t − l)/gap, 0, 1)`, added in profile order.
+    fn cdf(&self, t: f64) -> f64 {
+        let frac = |l: f64| ((t - l) / self.gap).clamp(0.0, 1.0);
+        // the terms whose fraction is exactly 1 add `p` and form a prefix
+        // (the fraction falls as `l` grows): its sum is a running sum.
+        // `l ≤ t − gap` finds it to within rounding, the exact predicate
+        // settles it.
+        let whole = |i: usize| frac(self.delay[i]) == 1.0;
+        let mut n = self.delay.partition_point(|&l| l <= t - self.gap);
+        while n > 0 && !whole(n - 1) {
+            n -= 1;
+        }
+        while n < self.delay.len() && whole(n) {
+            n += 1;
+        }
+        let mut acc = self.run[n];
+        for (&l, &p) in self.delay[n..].iter().zip(&self.prob[n..]) {
+            if l >= t {
+                break; // this term and every later one adds +0
+            }
+            acc += p * frac(l);
+        }
+        acc
+    }
 }
 
 /// The exact distribution of the one-way discovery latency over a uniform
@@ -83,14 +125,20 @@ impl LatencyDistribution {
             } else {
                 ph.gap.as_secs_f64() / t_b
             };
+            let delay: Vec<f64> = ph.hist.iter().map(|&(d, _)| d.as_secs_f64()).collect();
+            let prob: Vec<f64> = ph.hist.iter().map(|&(_, m)| m as f64 / total).collect();
+            let run = std::iter::once(0.0)
+                .chain(prob.iter().scan(0.0, |acc: &mut f64, &p| {
+                    *acc += p;
+                    Some(*acc)
+                }))
+                .collect();
             components.push(Component {
                 weight,
                 gap: ph.gap.as_secs_f64(),
-                profile: ph
-                    .hist
-                    .iter()
-                    .map(|&(d, m)| (d.as_secs_f64(), m as f64 / total))
-                    .collect(),
+                delay,
+                prob,
+                run,
                 undiscovered,
             });
         }
@@ -107,13 +155,7 @@ impl LatencyDistribution {
         }
         let mut acc = 0.0;
         for c in &self.components {
-            let mut comp = 0.0;
-            for &(l, p) in &c.profile {
-                // latency = W + l with W ~ U(0, gap]
-                let frac = ((t - l) / c.gap).clamp(0.0, 1.0);
-                comp += p * frac;
-            }
-            acc += c.weight * comp;
+            acc += c.weight * c.cdf(t);
         }
         acc
     }
@@ -131,7 +173,7 @@ impl LatencyDistribution {
         let mut acc = 0.0;
         let mut mass = 0.0;
         for c in &self.components {
-            for &(l, p) in &c.profile {
+            for (&l, &p) in c.delay.iter().zip(&c.prob) {
                 acc += c.weight * p * (l + c.gap / 2.0);
                 mass += c.weight * p;
             }
@@ -156,6 +198,12 @@ impl LatencyDistribution {
         }
         for _ in 0..80 {
             let mid = 0.5 * (lo + hi);
+            // with target > 0, cdf(lo) < target ≤ cdf(hi) holds throughout
+            // (cdf(0) = 0): once `mid` rounds onto `lo` or `hi`, every
+            // further step leaves both where they are
+            if target > 0.0 && (mid == lo || mid == hi) {
+                break;
+            }
             if self.cdf(mid) < target {
                 lo = mid;
             } else {
@@ -236,6 +284,66 @@ mod tests {
         .unwrap();
         let d = dist_for(0.05);
         assert!((wc.mean - d.mean()).abs() / wc.mean < 1e-9);
+    }
+
+    /// The CDF as a plain scan: every term of every component, in profile
+    /// order — the reference the running sums must reproduce bit for bit.
+    fn scan_cdf(d: &LatencyDistribution, t: f64) -> f64 {
+        if t <= 0.0 {
+            return 0.0;
+        }
+        let mut acc = 0.0;
+        for c in &d.components {
+            let mut comp = 0.0;
+            for (&l, &p) in c.delay.iter().zip(&c.prob) {
+                comp += p * ((t - l) / c.gap).clamp(0.0, 1.0);
+            }
+            acc += c.weight * comp;
+        }
+        acc
+    }
+
+    #[test]
+    fn cdf_equals_the_plain_scan_at_every_band_edge() {
+        // a term's fraction (t − l)/gap reaches 1 near t = l + gap and 0
+        // at t = l: probe both edges of every term and their neighbouring
+        // floats, where the running-sum prefix could be off by one
+        let (slot, omega) = (Tick::from_millis(1), Tick::from_micros(36));
+        for (name, eta) in [("disco", 0.14), ("searchlight", 0.1)] {
+            let sched = nd_protocols::schedule_for_selector(name, eta, slot, omega).unwrap();
+            let d = LatencyDistribution::build(
+                sched.beacons.as_ref().unwrap(),
+                sched.windows.as_ref().unwrap(),
+                &AnalysisConfig::paper_default(),
+                true,
+            )
+            .unwrap();
+            assert!(
+                d.worst().is_none(),
+                "{name}: the slot-boundary strips stay uncovered"
+            );
+            // points where `l ≤ t − gap` and the exact fraction disagree
+            let mut disagree = 0;
+            for c in &d.components {
+                for &l in &c.delay {
+                    for edge in [l, l + c.gap] {
+                        for t in [edge.next_down(), edge, edge.next_up()] {
+                            let whole = ((t - l) / c.gap).clamp(0.0, 1.0) == 1.0;
+                            disagree += usize::from(whole != (l <= t - c.gap));
+                            assert_eq!(
+                                d.cdf(t).to_bits(),
+                                scan_cdf(&d, t).to_bits(),
+                                "{name} at t = {t:e}"
+                            );
+                        }
+                    }
+                }
+            }
+            assert!(
+                disagree > 0,
+                "{name}: no probe separates the two predicates"
+            );
+        }
     }
 
     #[test]

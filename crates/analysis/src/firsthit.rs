@@ -32,13 +32,22 @@
 //!   The range suffices: `A_{j+m_B} = A_j + T_B` makes the images of phase
 //!   `m_B` those of phase 0 translated, so the images `k … m_B + n₀ − 1`
 //!   already contain a full phase-`m_B` expansion and every phase `k <
-//!   m_B` needs at most `n₀ + m_B − k` beacons.
+//!   m_B` needs at most `n₀ + m_B − k` beacons. The owner map is a flat
+//!   array over cells: the sorted distinct edges of the painted images and
+//!   the phase origins cut `[0, T_C)` once per pair, and painting an image
+//!   interval fills its range of cells.
 //!
 //! The results are bit-identical to expanding each phase separately and
 //! sweeping its coverage map: each phase keeps the same beacon count, the
 //! same per-delay masses (exact integers), and sums its mean over
 //! maximal constant segments in offset order, as
-//! [`nd_core::coverage::FirstHitProfile::mean`] does.
+//! [`nd_core::coverage::FirstHitProfile::mean`] does. The cells change
+//! only how the owner map is stored, not what it holds: no image edge
+//! falls inside a cell, so every cell lies wholly inside or outside each
+//! painted interval and has one owner per offset, the same as before. Masses
+//! are integer sums of cell lengths, and since each phase origin is a cell
+//! edge, the mean's walk from that origin meets the same maximal runs in
+//! the same order.
 
 use crate::exact::{AnalysisConfig, CoverageCase, WorstCase};
 use crate::residue::{gcd_ticks, ultimate_covered_measure};
@@ -46,7 +55,6 @@ use nd_core::error::NdError;
 use nd_core::interval::{Interval, IntervalSet};
 use nd_core::schedule::{BeaconSeq, ReceptionWindows};
 use nd_core::time::Tick;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Why a first-hit computation failed.
@@ -419,13 +427,21 @@ fn paint(
     n0: usize,
     gap_before: impl Fn(usize) -> Tick,
 ) -> Result<Vec<Phase>, FirstHitError> {
-    let last = train.m + n0 - 1;
-    let mut owners = OwnerMap::new(train.p, last + 1);
+    // images of equal shift coincide: with T_B = T_C, image j + m_B is
+    // image j
+    let shifts: Vec<u64> = (0..train.m + n0).map(|j| train.shift(j)).collect();
+    let mut distinct = shifts.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let images: Vec<IntervalSet> = distinct
+        .iter()
+        .map(|&s| base.shift_mod(i128::from(s), Tick(train.p)))
+        .collect();
+    let mut owners = OwnerMap::new(train.p, &shifts[..train.m], &images, shifts.len());
     let mut phases = Vec::with_capacity(train.m);
-    for j in (0..=last).rev() {
-        for iv in train.image(base, j).intervals() {
-            owners.paint(iv.start.as_nanos(), iv.end.as_nanos(), j);
-        }
+    for (j, s) in shifts.iter().enumerate().rev() {
+        let i = distinct.binary_search(s).expect("every shift is listed");
+        owners.paint(&images[i], j);
         if j < train.m {
             phases.push(owners.phase(j, gap_before(j), train, limits)?);
         }
@@ -492,69 +508,72 @@ fn run_sum(segments: impl IntoIterator<Item = (usize, u64)>, delay: impl Fn(usiz
     acc
 }
 
-/// No image owns the offset.
-const NONE: usize = usize::MAX;
+/// No image owns the cell.
+const NONE: u32 = u32::MAX;
 
-/// The reverse painting: a piecewise-constant owner per offset of
-/// `[0, T_C)` (phase 0's frame), with the measure each image owns.
+/// The reverse painting: the owner of every offset of `[0, T_C)` (phase
+/// 0's frame), with the measure each image owns. The offsets are
+/// compressed into cells: the distinct edges of every painted image and
+/// every phase origin cut the period into intervals that no edge falls
+/// inside, so each cell has one owner at every step, and painting an image
+/// interval is a fill over a range of cells.
 struct OwnerMap {
-    p: u64,
-    /// Segment start → owning image (segments run to the next key).
-    owner: BTreeMap<u64, usize>,
+    /// Cell edges, ascending from 0 to `T_C`: cell `c` is
+    /// `[edges[c], edges[c + 1])`.
+    edges: Vec<u64>,
+    /// Owning image of each cell.
+    owner: Vec<u32>,
     /// Measure (ns) each image owns.
     mass: Vec<u64>,
-    /// The segments one paint overwrites (a buffer reused across paints).
-    overwritten: Vec<(u64, usize)>,
 }
 
 impl OwnerMap {
-    fn new(p: u64, images: usize) -> Self {
+    /// The cells of `images` over `[0, p)`, cut also at each phase origin
+    /// in `origins`, for `n` images painted.
+    fn new(p: u64, origins: &[u64], images: &[IntervalSet], n: usize) -> Self {
+        assert!(n < NONE as usize, "image index fits a cell owner");
+        let mut edges: Vec<u64> = [0, p]
+            .into_iter()
+            .chain(origins.iter().copied())
+            .chain(images.iter().flat_map(|image| {
+                image
+                    .intervals()
+                    .iter()
+                    .flat_map(|iv| [iv.start.as_nanos(), iv.end.as_nanos()])
+            }))
+            .collect();
+        edges.sort_unstable();
+        edges.dedup();
         OwnerMap {
-            p,
-            owner: BTreeMap::from([(0, NONE)]),
-            mass: vec![0; images],
-            overwritten: Vec::new(),
+            owner: vec![NONE; edges.len() - 1],
+            edges,
+            mass: vec![0; n],
         }
     }
 
-    /// The segment holding `x`: its start and owner.
-    fn segment(&self, x: u64) -> (u64, usize) {
-        let (&s, &o) = self
-            .owner
-            .range(..=x)
-            .next_back()
-            .expect("offset 0 is a key");
-        (s, o)
+    /// The cell starting at `x`, an image edge or a phase origin.
+    fn cell(&self, x: u64) -> usize {
+        self.edges
+            .binary_search(&x)
+            .expect("image edges and phase origins are cell edges")
     }
 
-    /// Start a segment at `x` (keeping its owner).
-    fn split(&mut self, x: u64) {
-        if x < self.p {
-            let (s, o) = self.segment(x);
-            if s != x {
-                self.owner.insert(x, o);
+    /// Give image `j`'s intervals to `j`.
+    fn paint(&mut self, image: &IntervalSet, j: usize) {
+        let id = u32::try_from(j).expect("checked in `new`");
+        for iv in image.intervals() {
+            let (a, b) = (iv.start.as_nanos(), iv.end.as_nanos());
+            let mut c = self.cell(a);
+            while self.edges[c] < b {
+                let o = self.owner[c];
+                if o != NONE {
+                    self.mass[o as usize] -= self.edges[c + 1] - self.edges[c];
+                }
+                self.owner[c] = id;
+                c += 1;
             }
+            self.mass[j] += b - a;
         }
-    }
-
-    /// Give `[a, b)` to image `j`.
-    fn paint(&mut self, a: u64, b: u64, j: usize) {
-        self.split(b);
-        self.split(a);
-        self.overwritten.clear();
-        self.overwritten
-            .extend(self.owner.range(a..b).map(|(&s, &o)| (s, o)));
-        for (i, &(s, o)) in self.overwritten.iter().enumerate() {
-            if o != NONE {
-                let e = self.overwritten.get(i + 1).map_or(b, |next| next.0);
-                self.mass[o] -= e - s;
-            }
-        }
-        for &(s, _) in &self.overwritten[1..] {
-            self.owner.remove(&s);
-        }
-        self.owner.insert(a, j);
-        self.mass[j] += b - a;
     }
 
     /// Phase `k`'s first hits, read right after image `k` was painted.
@@ -569,11 +588,15 @@ impl OwnerMap {
         let covered: u64 = hist.iter().map(|&(_, m)| m).sum();
         let top = self.mass[k..].iter().rposition(|&m| m > 0).unwrap_or(0);
         let beacons = limits.beacons(covered, top)?;
-        let uncovered = self.p - covered;
-        // phase k's offset 0 sits at −(A_k − A_0) mod T_C in this frame
-        let start = train.shift(k);
-        let mean = mean_covered(&hist, uncovered, self.p, || {
-            run_sum(self.segments_from(start), |j| train.delay(k, j))
+        let uncovered = train.p - covered;
+        let mean = mean_covered(&hist, uncovered, train.p, || {
+            // phase k's frame runs from its offset 0, at −(A_k − A_0) mod
+            // T_C in this frame, to T_C and on from 0
+            let start = self.cell(train.shift(k));
+            let cells = (start..self.owner.len()).chain(0..start);
+            let segments =
+                cells.map(|c| (self.owner[c] as usize, self.edges[c + 1] - self.edges[c]));
+            run_sum(segments, |j| train.delay(k, j))
         });
         Ok(Phase {
             gap,
@@ -582,26 +605,5 @@ impl OwnerMap {
             mean_covered: mean,
             beacons,
         })
-    }
-
-    /// The segments `(owner, length)` of `[0, T_C)` in the order of a
-    /// frame whose origin sits at `start`: `[start, T_C)`, then
-    /// `[0, start)`.
-    fn segments_from(&self, start: u64) -> Vec<(usize, u64)> {
-        let p = self.p;
-        let frame = |s: u64| if s >= start { s - start } else { s + p - start };
-        let bounds: Vec<(u64, usize)> = std::iter::once((0, self.segment(start).1))
-            .chain(
-                self.owner
-                    .range(start + 1..)
-                    .chain(self.owner.range(..start))
-                    .map(|(&s, &o)| (frame(s), o)),
-            )
-            .chain(std::iter::once((p, NONE)))
-            .collect();
-        bounds
-            .windows(2)
-            .map(|w| (w[0].1, w[1].0 - w[0].0))
-            .collect()
     }
 }

@@ -10,7 +10,8 @@
 //! distribution's mean and quantiles — and fail with the same errors.
 //!
 //! Cases: random slotted and slotless pairs, Disco prime pairs with
-//! different periods, `optimal::unidirectional` tilings, all three overlap
+//! different periods, `optimal::unidirectional` tilings, the slotted
+//! registry protocols as the exact backend builds them, all three overlap
 //! models, and small beacon budgets. `PROPTEST_CASES` raises the case
 //! count.
 
@@ -24,7 +25,7 @@ use nd_core::interval::IntervalSet;
 use nd_core::schedule::{BeaconSeq, ReceptionWindows, Schedule, Window};
 use nd_core::time::Tick;
 use nd_protocols::optimal::{self, OptimalParams};
-use nd_protocols::{BeaconPlacement, Disco, SlottedSchedule};
+use nd_protocols::{schedule_for_selector, BeaconPlacement, Disco, SlottedSchedule};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -548,6 +549,17 @@ fn window_seq(period: u64, raw: std::collections::BTreeSet<u64>, len: u64) -> Re
 
 const PRIMES: [u64; 5] = [2, 3, 5, 7, 11];
 
+/// The slotted registry protocols with the lowest η each is drawn at:
+/// low enough to reach several codes or prime pairs, high enough that the
+/// oracle's per-phase expansion stays fast (`m_B` ≤ 82).
+const REGISTRY: [(&str, f64); 5] = [
+    ("disco", 0.10),
+    ("searchlight", 0.06),
+    ("diff-codes", 0.04),
+    ("code-based", 0.04),
+    ("u-connect", 0.04),
+];
+
 proptest! {
     #[test]
     fn slotted_pairs_match_the_oracle(
@@ -605,6 +617,20 @@ proptest! {
         let cfg = config(beacons, windows, omega, m, budget);
         agree(beacons, windows, &cfg);
         same(two_way_worst_case(&tx, &rx, &cfg), oracle::two_way(&tx, &rx, &cfg), |t| *t, "two-way");
+    }
+
+    #[test]
+    fn registry_protocols_match_the_oracle(
+        (protocol, eta, m, budget) in (0usize..5, 0.0f64..1.0, 0u64..3, 0u64..64),
+    ) {
+        // the schedules of the exact backend's percentile fronts: 1 ms
+        // slot, ω = 36 µs, η between the protocol's floor and 0.45
+        let (name, eta_min) = REGISTRY[protocol];
+        let eta = eta_min + (0.45 - eta_min) * eta;
+        let omega = Tick::from_micros(36);
+        let sched = schedule_for_selector(name, eta, Tick::from_millis(1), omega).unwrap();
+        let (beacons, windows) = (sched.beacons.as_ref().unwrap(), sched.windows.as_ref().unwrap());
+        agree(beacons, windows, &config(beacons, windows, omega, m, budget));
     }
 
     #[test]

@@ -91,8 +91,13 @@ pub fn run() -> String {
     out.push_str(&t.render());
     out.push_str(
         "\nReading: with an ideal radio only the packet airtime is blanked and\n\
-         failures are rare; realistic turnaround times push P_fail to the Eq. 31\n\
-         level. The Appendix C correlated schedules avoid the issue entirely\n\
+         failures are rare, as Eq. 31 predicts. With 300 µs of turnaround the\n\
+         simulated rate stays well below Eq. 31. That gap is a known simulator\n\
+         fault, not a property of the schedule: the simulator decides a\n\
+         reception at the packet's end, before the receiver's later own beacons\n\
+         are recorded, so an own beacon whose RX→TX turnaround reaches back\n\
+         into the packet never blanks it (ROADMAP.md, \"Half-duplex, right and\n\
+         exact\"). The Appendix C correlated schedules avoid the problem entirely\n\
          (their beacons never meet their own windows).\n",
     );
     out
