@@ -303,10 +303,10 @@ fn run(cli: &Cli) -> Result<OptOutcome, String> {
     run_opt(&cli.spec, &cli.opts).map_err(|e| e.to_string())
 }
 
-fn summary(outcome: &OptOutcome) {
+/// Print the per-protocol summary lines, and with `--stats` the
+/// censoring breakdown and the metrics snapshot.
+fn summary(outcome: &OptOutcome, stats: bool) {
     for f in &outcome.fronts {
-        let gaps: Vec<f64> = f.front.iter().map(|p| p.gap_frac).collect();
-        let max_gap = gaps.iter().copied().fold(f64::NAN, f64::max);
         println!(
             "  {}: {} front points ({} evaluated, {} executed, {} cached, {} errors), max gap {}",
             f.protocol,
@@ -315,7 +315,7 @@ fn summary(outcome: &OptOutcome) {
             f.executed,
             f.cache_hits,
             f.errors,
-            percent(max_gap),
+            percent(f.gap_summary().max),
         );
         if f.screened > 0 {
             println!(
@@ -336,6 +336,10 @@ fn summary(outcome: &OptOutcome) {
         outcome.objective,
         outcome.latency_metric,
     );
+    if stats {
+        stats_detail(outcome);
+        print!("{}", nd_obs::metrics::snapshot().to_json());
+    }
 }
 
 /// The `--stats` per-round censoring breakdown: *when* a candidate was
@@ -442,11 +446,7 @@ fn cmd_front(args: &[String]) -> ExitCode {
             println!("wrote {}", path.display());
         }
     }
-    summary(&outcome);
-    if cli.stats {
-        stats_detail(&outcome);
-        print!("{}", nd_obs::metrics::snapshot().to_json());
-    }
+    summary(&outcome, cli.stats);
     if let Some(code) = check_empty_fronts(&outcome) {
         return code;
     }
@@ -467,9 +467,7 @@ fn cmd_best(args: &[String]) -> ExitCode {
     };
     let mut found = false;
     for f in &outcome.fronts {
-        // the front is sorted by duty cycle with latency decreasing, so
-        // the best point within budget is the last affordable one
-        match f.front.iter().rev().find(|p| p.duty_cycle <= budget) {
+        match f.best_within(budget) {
             Some(p) => {
                 found = true;
                 let slot = p
@@ -501,11 +499,7 @@ fn cmd_best(args: &[String]) -> ExitCode {
             None => println!("  {}: no front point within budget {budget}", f.protocol),
         }
     }
-    summary(&outcome);
-    if cli.stats {
-        stats_detail(&outcome);
-        print!("{}", nd_obs::metrics::snapshot().to_json());
-    }
+    summary(&outcome, cli.stats);
     if !found {
         return fail(format!("no configuration fits duty-cycle budget {budget}"));
     }
@@ -528,17 +522,14 @@ fn cmd_gap(args: &[String]) -> ExitCode {
         if f.front.is_empty() {
             continue; // check_empty_fronts prints the diagnostic
         }
-        let gaps: Vec<f64> = f.front.iter().map(|p| p.gap_frac).collect();
-        let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
-        let min = gaps.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = gaps.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let gap = f.gap_summary();
         println!(
             "  {}: {} points, gap to optimal bound min {} / mean {} / max {}",
             f.protocol,
             f.front.len(),
-            percent(min),
-            percent(mean),
-            percent(max),
+            percent(gap.min),
+            percent(gap.mean),
+            percent(gap.max),
         );
         if !cli.quiet {
             for p in &f.front {
@@ -552,11 +543,7 @@ fn cmd_gap(args: &[String]) -> ExitCode {
             }
         }
     }
-    summary(&outcome);
-    if cli.stats {
-        stats_detail(&outcome);
-        print!("{}", nd_obs::metrics::snapshot().to_json());
-    }
+    summary(&outcome, cli.stats);
     if let Some(code) = check_empty_fronts(&outcome) {
         return code;
     }

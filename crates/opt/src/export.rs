@@ -3,7 +3,7 @@
 //! same conventions as `nd-sweep`'s exporters, so downstream plotting
 //! code can treat fronts as just another result table.
 
-use crate::optimizer::OptOutcome;
+use crate::optimizer::{FrontPoint, OptOutcome};
 use nd_sweep::export::EXPORT_SCHEMA;
 use nd_sweep::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
@@ -73,51 +73,24 @@ pub fn to_csv(outcome: &OptOutcome) -> String {
 
 /// Render the outcome as a self-describing JSON document.
 pub fn to_json(outcome: &OptOutcome) -> String {
+    to_value(outcome).to_json_pretty()
+}
+
+/// The outcome as the [`Value`] tree [`to_json`] renders: rendering it
+/// gives the same bytes as re-rendering the parsed `to_json` output,
+/// because floats print shortest-round-trip with their `.`, NaN prints
+/// `null` either way and integers stay integers.
+pub fn to_value(outcome: &OptOutcome) -> Value {
     let fronts: Vec<Value> = outcome
         .fronts
         .iter()
         .map(|f| {
-            let points: Vec<Value> = f
-                .front
-                .iter()
-                .map(|p| {
-                    let mut t = BTreeMap::new();
-                    t.insert("eta".to_string(), Value::Float(p.eta));
-                    t.insert(
-                        "slot_us".to_string(),
-                        p.slot_us.map(Value::Float).unwrap_or(Value::Null),
-                    );
-                    t.insert(
-                        "eta_b".to_string(),
-                        p.eta_b.map(Value::Float).unwrap_or(Value::Null),
-                    );
-                    t.insert(
-                        "slot_us_b".to_string(),
-                        p.slot_us_b.map(Value::Float).unwrap_or(Value::Null),
-                    );
-                    t.insert("duty_cycle".to_string(), Value::Float(p.duty_cycle));
-                    t.insert(
-                        "duty_cycle_b".to_string(),
-                        p.duty_cycle_b.map(Value::Float).unwrap_or(Value::Null),
-                    );
-                    t.insert("latency_s".to_string(), Value::Float(p.latency_s));
-                    t.insert("bound_s".to_string(), Value::Float(p.bound_s));
-                    t.insert("gap_frac".to_string(), Value::Float(p.gap_frac));
-                    t.insert(
-                        "metrics".to_string(),
-                        Value::Table(
-                            p.metrics
-                                .iter()
-                                .map(|(k, v)| (k.clone(), Value::Float(*v)))
-                                .collect(),
-                        ),
-                    );
-                    Value::Table(t)
-                })
-                .collect();
             let mut t = BTreeMap::new();
             t.insert("protocol".to_string(), Value::Str(f.protocol.clone()));
-            t.insert("front".to_string(), Value::Array(points));
+            t.insert(
+                "front".to_string(),
+                Value::Array(f.front.iter().map(point_value).collect()),
+            );
             t.insert("evaluated".to_string(), Value::Int(f.evaluated as i64));
             t.insert("executed".to_string(), Value::Int(f.executed as i64));
             t.insert("cache_hits".to_string(), Value::Int(f.cache_hits as i64));
@@ -152,7 +125,32 @@ pub fn to_json(outcome: &OptOutcome) -> String {
         Value::Str(outcome.latency_metric.clone()),
     );
     doc.insert("fronts".to_string(), Value::Array(fronts));
-    Value::Table(doc).to_json_pretty()
+    Value::Table(doc)
+}
+
+/// One front point as it appears in the JSON document.
+pub fn point_value(p: &FrontPoint) -> Value {
+    let opt = |x: Option<f64>| x.map_or(Value::Null, Value::Float);
+    let mut t = BTreeMap::new();
+    t.insert("eta".to_string(), Value::Float(p.eta));
+    t.insert("slot_us".to_string(), opt(p.slot_us));
+    t.insert("eta_b".to_string(), opt(p.eta_b));
+    t.insert("slot_us_b".to_string(), opt(p.slot_us_b));
+    t.insert("duty_cycle".to_string(), Value::Float(p.duty_cycle));
+    t.insert("duty_cycle_b".to_string(), opt(p.duty_cycle_b));
+    t.insert("latency_s".to_string(), Value::Float(p.latency_s));
+    t.insert("bound_s".to_string(), Value::Float(p.bound_s));
+    t.insert("gap_frac".to_string(), Value::Float(p.gap_frac));
+    t.insert(
+        "metrics".to_string(),
+        Value::Table(
+            p.metrics
+                .iter()
+                .map(|(k, v)| (k.clone(), Value::Float(*v)))
+                .collect(),
+        ),
+    );
+    Value::Table(t)
 }
 
 fn float_cell(f: f64) -> String {

@@ -51,9 +51,9 @@ pub mod pareto;
 pub mod spec;
 
 pub use evaluator::{evaluator_for, screening_evaluator, Candidate, Evaluation, Evaluator};
-pub use export::{to_csv, to_json};
+pub use export::{point_value, to_csv, to_json, to_value};
 pub use optimizer::{
-    censor_reason, run_opt, FrontPoint, FrontResult, OptError, OptOptions, OptOutcome,
+    censor_reason, run_opt, FrontPoint, FrontResult, GapSummary, OptError, OptOptions, OptOutcome,
     CORRUPT_CACHE,
 };
 pub use pareto::{dominates, front_indices, hypervolume, is_valid_front};

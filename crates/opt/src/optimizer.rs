@@ -151,6 +151,50 @@ pub struct FrontResult {
     pub early_stops: usize,
 }
 
+/// Min, mean and max of a front's finite gaps to the bound
+/// ([`FrontResult::gap_summary`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct GapSummary {
+    /// Smallest finite `gap_frac`.
+    pub min: f64,
+    /// Mean of the finite `gap_frac`s, summed in front order.
+    pub mean: f64,
+    /// Largest finite `gap_frac`.
+    pub max: f64,
+}
+
+impl FrontResult {
+    /// The most capable point within a duty-cycle budget: the front is
+    /// sorted by duty cycle with latency decreasing, so that is the last
+    /// affordable one.
+    pub fn best_within(&self, budget: f64) -> Option<&FrontPoint> {
+        self.front.iter().rev().find(|p| p.duty_cycle <= budget)
+    }
+
+    /// The gap-to-bound summary over the points whose `gap_frac` is
+    /// finite; every field is NaN when no point has one.
+    pub fn gap_summary(&self) -> GapSummary {
+        let gaps: Vec<f64> = self
+            .front
+            .iter()
+            .map(|p| p.gap_frac)
+            .filter(|g| g.is_finite())
+            .collect();
+        if gaps.is_empty() {
+            return GapSummary {
+                min: f64::NAN,
+                mean: f64::NAN,
+                max: f64::NAN,
+            };
+        }
+        GapSummary {
+            min: gaps.iter().copied().fold(f64::INFINITY, f64::min),
+            mean: gaps.iter().sum::<f64>() / gaps.len() as f64,
+            max: gaps.iter().copied().fold(f64::NEG_INFINITY, f64::max),
+        }
+    }
+}
+
 /// Classify a candidate-evaluation error into a censoring reason for
 /// [`FrontResult::censored`].
 pub fn censor_reason(error: &str) -> &'static str {
@@ -646,6 +690,46 @@ mod tests {
 
     fn spec(toml: &str) -> OptSpec {
         OptSpec::from_toml_str(toml).unwrap()
+    }
+
+    #[test]
+    fn best_within_and_gap_summary_read_the_sorted_front() {
+        let s = spec(
+            "backend = \"exact\"\nmetric = \"two-way\"\n\
+             [opt]\nprotocols = [\"optimal\"]\nseeds_per_axis = 3\nrounds = 1\n",
+        );
+        let mut f = run_opt(&s, &OptOptions::uncached())
+            .unwrap()
+            .fronts
+            .remove(0);
+        let dc: Vec<f64> = f.front.iter().map(|p| p.duty_cycle).collect();
+        assert!(dc.len() >= 3, "{dc:?}");
+        // the most capable affordable point: the last at or under budget
+        let best = |budget: f64| f.best_within(budget).map(|p| p.duty_cycle);
+        assert_eq!(best(dc[1]), Some(dc[1]));
+        assert_eq!(best((dc[1] + dc[2]) / 2.0), Some(dc[1]));
+        assert_eq!(best(dc[0] / 2.0), None);
+
+        // non-finite gaps stay out of the summary; with none left, every
+        // field is NaN
+        f.front[0].gap_frac = f64::NAN;
+        f.front[1].gap_frac = f64::INFINITY;
+        let finite: Vec<f64> = f.front[2..].iter().map(|p| p.gap_frac).collect();
+        let gap = f.gap_summary();
+        assert_eq!(
+            gap.min,
+            finite.iter().copied().fold(f64::INFINITY, f64::min)
+        );
+        assert_eq!(gap.mean, finite.iter().sum::<f64>() / finite.len() as f64);
+        assert_eq!(
+            gap.max,
+            finite.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+        );
+        for p in &mut f.front {
+            p.gap_frac = f64::NAN;
+        }
+        let gap = f.gap_summary();
+        assert!(gap.min.is_nan() && gap.mean.is_nan() && gap.max.is_nan());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! ```
 
 use nd_opt::OptOptions;
-use nd_serve::{http, App, Pipeline, Planner, Stage};
+use nd_serve::{http, App, Planner};
 use nd_sweep::cache::parse_bytes;
 use nd_sweep::{ResultCache, ENGINE_VERSION};
 use std::path::PathBuf;
@@ -62,7 +62,7 @@ ENDPOINTS:
     POST /v1/best      best configuration within a duty-cycle budget
     POST /v1/gap       per-protocol gap-to-bound summary
     GET  /healthz      liveness probe: version, engine, uptime, spool
-                       depth, stage-pipeline cycle gauges
+                       depth, background-pass cycle gauges
     GET  /v1/metrics   metrics snapshot (requires --stats); add
                        ?format=prometheus for text exposition with
                        p50/p95/p99 summaries
@@ -88,13 +88,13 @@ OPTIONS:
     --quiet            suppress the startup line and the per-request
                        access log (one JSON line per request on stderr)
 
-BACKGROUND PIPELINE (ingest → execute → prune):
+BACKGROUND PASS (ingest → execute → prune):
     --spool DIR        pick up nd-opt spec files dropped here, pre-warm
-                       cache and memo, delete them (bad files are
-                       renamed *.rejected)
-    --cache-max-bytes N  prune stage: LRU-evict the result cache to this
+                       cache and memo, delete them (bad files and files
+                       over 1 MiB are renamed *.rejected)
+    --cache-max-bytes N  prune: LRU-evict the result cache to this
                        budget per pass (suffixes K/M/G)
-    --stage-interval S seconds between pipeline passes (default: 60)
+    --stage-interval S seconds between passes (default: 60)
 
 OBSERVABILITY:
     --stats            enable the metrics registry: GET /v1/metrics
@@ -207,29 +207,22 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     let addr = server.addr();
     let shutdown = Arc::new(AtomicBool::new(false));
 
-    let mut stages: Vec<Box<dyn Stage>> = Vec::new();
-    if let Some(spool) = &cli.spool {
-        stages.push(Box::new(nd_serve::IngestStage::new(spool.clone())));
-        stages.push(Box::new(nd_serve::ExecuteStage::new(Arc::clone(&planner))));
-    }
-    if let Some(max_bytes) = cli.cache_max_bytes {
-        if cli.opts.use_cache {
-            let dir = cli
-                .opts
-                .cache_dir
-                .clone()
-                .unwrap_or_else(ResultCache::default_dir);
-            stages.push(Box::new(nd_serve::PruneStage::new(
-                ResultCache::at(dir),
-                max_bytes,
-            )));
-        }
-    }
+    let cache_dir = cli.opts.cache_dir.clone();
+    let cache = ResultCache::at(cache_dir.unwrap_or_else(ResultCache::default_dir));
+    let prune = cli
+        .cache_max_bytes
+        .filter(|_| cli.opts.use_cache)
+        .map(|n| (cache, n));
     let health = nd_serve::Health::new(cli.spool.clone());
-    let pipeline = (!stages.is_empty()).then(|| {
-        Pipeline::new(stages)
-            .with_health(Arc::clone(&health))
-            .spawn(cli.stage_interval, Arc::clone(&shutdown))
+    let background = (cli.spool.is_some() || prune.is_some()).then(|| {
+        nd_serve::stages::spawn(
+            Arc::clone(&planner),
+            cli.spool.clone(),
+            prune,
+            Arc::clone(&health),
+            cli.stage_interval,
+            Arc::clone(&shutdown),
+        )
     });
 
     if !cli.quiet {
@@ -248,7 +241,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         Arc::new(move |req: &http::Request| app.route(req)),
     );
 
-    if let Some(handle) = pipeline {
+    if let Some(handle) = background {
         let _ = handle.join();
     }
     if cli.stats {

@@ -22,9 +22,10 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Largest accepted request body; larger requests get a 400. Planning
-/// specs are a few hundred bytes — a megabyte is already absurd.
-const MAX_BODY: usize = 1 << 20;
+/// Largest accepted request body (larger requests get a 400) and spool
+/// file (larger files are rejected unread). Planning specs are a few
+/// hundred bytes — a megabyte is already absurd.
+pub(crate) const MAX_BODY: usize = 1 << 20;
 
 /// Longest accepted request line or header line, line ending included.
 const MAX_LINE: usize = 8 << 10;

@@ -15,16 +15,18 @@
 //!   grammar ([`nd_opt::OptSpec::from_value`]) — CLI spec files and
 //!   service requests are one grammar with one content hash.
 //! - **[`service`]** — the [`Planner`]: an in-memory memo over
-//!   completed front documents plus *request coalescing* (N concurrent
+//!   completed searches (`nd-opt`'s typed outcomes, which every endpoint
+//!   renders its answer from) plus *request coalescing* (N concurrent
 //!   identical cache-miss requests cost exactly one evaluation,
 //!   observable via the `serve.coalesced` counter), backed by the
 //!   shared on-disk [`nd_sweep::ResultCache`]; misses evaluate on the
 //!   same `pool::run_parallel` worker pool the CLIs use. The [`App`]
 //!   router adds per-request `serve.request` spans and per-endpoint
 //!   latency histograms.
-//! - **[`stages`]** — a background **ingest → execute → prune**
-//!   pipeline (layout after reth's staged sync): spool-directory spec
-//!   pickup, pre-warming execution, and cache GC as the prune stage.
+//! - **[`stages`]** — one background pass, **ingest → execute →
+//!   prune**, on an interval: spool-directory spec pickup (files over
+//!   the 1 MiB body cap are rejected unread), pre-warming execution, and
+//!   cache GC.
 //! - **[`http`]** — the minimal HTTP/1.1 transport: keep-alive, bounded
 //!   bodies, a fixed worker pool off one accept loop.
 //!
@@ -47,7 +49,5 @@ pub mod service;
 pub mod stages;
 
 pub use api::{parse_request, success_body, ApiError, Endpoint, Request, API_VERSION};
-pub use service::{App, Computed, Health, Planner, Served};
-pub use stages::{
-    ExecuteStage, IngestStage, Pipeline, PruneStage, Stage, StageContext, StageReport,
-};
+pub use service::{App, Health, Planner, Served};
+pub use stages::{run_pass, Pass};

@@ -4,9 +4,10 @@
 //!
 //! Three layers answer a query, fastest first:
 //!
-//! 1. **Memo** — completed front documents, keyed by the request spec's
-//!    content hash. Warm queries never touch disk; this is what makes
-//!    sub-millisecond loopback p99 possible.
+//! 1. **Memo** — completed searches ([`OptOutcome`]s), keyed by the
+//!    request spec's content hash; every endpoint renders its answer
+//!    from the outcome, with no re-parsing. Warm queries never touch
+//!    disk; this is what makes sub-millisecond loopback p99 possible.
 //! 2. **Result cache** — `nd-sweep`'s on-disk [`nd_sweep::ResultCache`],
 //!    shared with every CLI sweep and search. A memo miss re-runs the
 //!    search, but each candidate evaluation is served from here when
@@ -24,27 +25,14 @@
 
 use crate::api::{parse_request, ApiError, Endpoint, Request, API_VERSION};
 use crate::http;
-use nd_opt::{run_opt, OptOptions, OptSpec};
-use nd_sweep::value::{parse_json, Value};
+use nd_opt::{point_value, run_opt, OptError, OptOptions, OptOutcome, OptSpec};
+use nd_sweep::value::Value;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
-
-/// A completed computation: the parsed `nd-export/v1` front document
-/// plus what producing it cost.
-pub struct Computed {
-    /// The front document (`nd_opt::to_json` output, parsed).
-    pub doc: Value,
-    /// Fresh backend evaluations the search executed.
-    pub executed: usize,
-    /// Evaluations served from the on-disk result cache.
-    pub cache_hits: usize,
-    /// Wall-clock of the search, microseconds.
-    pub wall_us: u64,
-}
 
 /// How a particular request got its answer (the response `served` block).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,9 +43,12 @@ pub struct Served {
     pub coalesced: bool,
 }
 
+/// What a planner runs on a memo miss.
+type Compute = dyn Fn(&OptSpec) -> Result<OptOutcome, OptError> + Send + Sync;
+
 enum SlotState {
     Pending,
-    Ready(Result<Arc<Computed>, ApiError>),
+    Ready(Result<Arc<OptOutcome>, ApiError>),
 }
 
 /// One memo entry: leader computes, followers wait on the condvar.
@@ -74,22 +65,31 @@ struct Memo {
 
 /// The query engine behind all three endpoints.
 pub struct Planner {
-    opts: OptOptions,
+    compute: Box<Compute>,
     memo: Mutex<Memo>,
     capacity: usize,
 }
 
 impl Planner {
-    /// Build a planner. `opts` should have
-    /// [`strict_cache`](OptOptions::strict_cache) set (the constructor
-    /// forces it: a server must surface corrupt state, not rewrite it).
-    /// `capacity` bounds the memo entry count; oldest entries fall out
-    /// first — their per-evaluation results stay in the on-disk cache, so
-    /// recomputation after eviction is cheap.
+    /// A planner over [`run_opt`] with `opts`, forcing
+    /// [`strict_cache`](OptOptions::strict_cache): a server must surface
+    /// corrupt state, not rewrite it. `capacity` bounds the memo entry
+    /// count; oldest entries fall out first — their per-evaluation
+    /// results stay in the on-disk cache, so recomputation after eviction
+    /// is cheap.
     pub fn new(mut opts: OptOptions, capacity: usize) -> Planner {
         opts.strict_cache = true;
+        Planner::with_compute(capacity, move |spec| run_opt(spec, &opts))
+    }
+
+    /// A planner that answers memo misses with `compute` in place of
+    /// [`run_opt`] (tests use it to hold a leader while a herd arrives).
+    pub fn with_compute(
+        capacity: usize,
+        compute: impl Fn(&OptSpec) -> Result<OptOutcome, OptError> + Send + Sync + 'static,
+    ) -> Planner {
         Planner {
-            opts,
+            compute: Box::new(compute),
             memo: Mutex::new(Memo {
                 entries: HashMap::new(),
                 order: VecDeque::new(),
@@ -100,24 +100,60 @@ impl Planner {
 
     /// Answer a parsed request, returning the response body.
     pub fn handle(&self, req: &Request) -> Result<String, ApiError> {
-        let (computed, served) = self.front_document(&req.spec);
-        let computed = computed?;
-        if let Some(err) = empty_front_error(&computed.doc) {
+        let (outcome, served) = self.search(&req.spec);
+        let outcome = outcome?;
+        if let Some(err) = empty_front(&outcome) {
             return Err(err);
         }
         let result = match req.endpoint {
-            Endpoint::Front => computed.doc.clone(),
-            Endpoint::Best => best_result(&computed.doc, req.budget.expect("parse enforces"))?,
-            Endpoint::Gap => gap_result(&computed.doc),
+            Endpoint::Front => nd_opt::to_value(&outcome),
+            Endpoint::Best => {
+                let budget = req.budget.expect("parse enforces");
+                if outcome
+                    .fronts
+                    .iter()
+                    .all(|f| f.best_within(budget).is_none())
+                {
+                    return Err(ApiError::Infeasible(format!(
+                        "no configuration fits duty-cycle budget {budget}"
+                    )));
+                }
+                let choices = outcome.fronts.iter().map(|f| {
+                    table([
+                        ("protocol", Value::Str(f.protocol.clone())),
+                        (
+                            "point",
+                            f.best_within(budget).map_or(Value::Null, point_value),
+                        ),
+                    ])
+                });
+                table([
+                    ("budget", Value::Float(budget)),
+                    ("choices", Value::Array(choices.collect())),
+                ])
+            }
+            Endpoint::Gap => {
+                let fronts = outcome.fronts.iter().map(|f| {
+                    let gap = f.gap_summary();
+                    table([
+                        ("protocol", Value::Str(f.protocol.clone())),
+                        ("points", Value::Int(f.front.len() as i64)),
+                        ("gap_min", Value::Float(gap.min)),
+                        ("gap_mean", Value::Float(gap.mean)),
+                        ("gap_max", Value::Float(gap.max)),
+                    ])
+                });
+                table([("fronts", Value::Array(fronts.collect()))])
+            }
         };
         Ok(crate::api::success_body(
             result,
-            served_block(&computed, served),
+            served_block(&outcome, served),
         ))
     }
 
-    /// The memoized/coalesced front computation for one spec.
-    pub fn front_document(&self, spec: &OptSpec) -> (Result<Arc<Computed>, ApiError>, Served) {
+    /// The memoized, coalesced search for one spec.
+    pub fn search(&self, spec: &OptSpec) -> (Result<Arc<OptOutcome>, ApiError>, Served) {
         let hash = spec.content_hash();
         let (slot, leader) = {
             let mut memo = self.memo.lock().unwrap();
@@ -142,7 +178,9 @@ impl Planner {
 
         if leader {
             nd_obs::metrics::inc("serve.computed");
-            let result = self.compute(spec);
+            let result = (self.compute)(spec)
+                .map(Arc::new)
+                .map_err(|e| ApiError::from_opt_error(&e.0));
             *slot.state.lock().unwrap() = SlotState::Ready(result.clone());
             slot.ready.notify_all();
             if result.is_err() {
@@ -161,201 +199,84 @@ impl Planner {
             )
         } else {
             let mut state = slot.state.lock().unwrap();
-            let mut waited = false;
+            // counted before waiting, so a herd can be observed while its
+            // leader still computes
+            let coalesced = matches!(*state, SlotState::Pending);
+            nd_obs::metrics::inc(if coalesced {
+                "serve.coalesced"
+            } else {
+                "serve.memo_hits"
+            });
             while matches!(*state, SlotState::Pending) {
-                waited = true;
                 state = slot.ready.wait(state).unwrap();
             }
             let SlotState::Ready(result) = &*state else {
                 unreachable!("the wait loop only exits on Ready")
             };
-            nd_obs::metrics::inc(if waited {
-                "serve.coalesced"
-            } else {
-                "serve.memo_hits"
-            });
             (
                 result.clone(),
                 Served {
-                    memo: !waited,
-                    coalesced: waited,
+                    memo: !coalesced,
+                    coalesced,
                 },
             )
         }
     }
+}
 
-    fn compute(&self, spec: &OptSpec) -> Result<Arc<Computed>, ApiError> {
-        let start = Instant::now();
-        let outcome = run_opt(spec, &self.opts).map_err(|e| ApiError::from_opt_error(&e.0))?;
-        let doc = parse_json(&nd_opt::to_json(&outcome))
-            .map_err(|e| ApiError::Internal(format!("exporter emitted invalid JSON: {e}")))?;
-        Ok(Arc::new(Computed {
-            doc,
-            executed: outcome.executed,
-            cache_hits: outcome.cache_hits,
-            wall_us: start.elapsed().as_micros() as u64,
-        }))
-    }
+/// A JSON object from its entries.
+fn table<const N: usize>(entries: [(&str, Value); N]) -> Value {
+    Value::Table(entries.map(|(k, v)| (k.to_string(), v)).into())
 }
 
 /// Build the response `served` block. Cost fields describe work done on
 /// behalf of *this* request: memo hits and coalesced followers report
 /// zero executions (the leader's response carries the real cost).
-fn served_block(computed: &Computed, served: Served) -> Value {
+fn served_block(outcome: &OptOutcome, served: Served) -> Value {
     let fresh = !served.memo && !served.coalesced;
-    Value::Table(BTreeMap::from([
-        ("memo".to_string(), Value::Bool(served.memo)),
-        ("coalesced".to_string(), Value::Bool(served.coalesced)),
-        (
-            "executed".to_string(),
-            Value::Int(if fresh { computed.executed as i64 } else { 0 }),
-        ),
-        (
-            "cache_hits".to_string(),
-            Value::Int(if fresh { computed.cache_hits as i64 } else { 0 }),
-        ),
-        (
-            "wall_us".to_string(),
-            Value::Int(if fresh { computed.wall_us as i64 } else { 0 }),
-        ),
-    ]))
+    let cost = |n: usize| Value::Int(if fresh { n as i64 } else { 0 });
+    table([
+        ("memo", Value::Bool(served.memo)),
+        ("coalesced", Value::Bool(served.coalesced)),
+        ("executed", cost(outcome.executed)),
+        ("cache_hits", cost(outcome.cache_hits)),
+        ("wall_us", cost(outcome.wall.as_micros() as usize)),
+    ])
 }
 
-fn fronts_of(doc: &Value) -> &[Value] {
-    doc.as_table()
-        .and_then(|t| t.get("fronts"))
-        .and_then(Value::as_array)
-        .unwrap_or(&[])
-}
-
-/// The `empty-front` check, mirroring the `nd-opt` CLI diagnostic: when
+/// The `empty-front` error, mirroring the `nd-opt` CLI diagnostic: when
 /// any protocol's front is empty, aggregate its per-reason censoring
 /// counts into the error payload so the client learns why.
-fn empty_front_error(doc: &Value) -> Option<ApiError> {
-    let mut empty: Vec<String> = Vec::new();
-    let mut censored: BTreeMap<String, i64> = BTreeMap::new();
-    for front in fronts_of(doc) {
-        let t = front.as_table()?;
-        if t.get("front")?.as_array()?.is_empty() {
-            empty.push(t.get("protocol")?.as_str()?.to_string());
-            if let Some(reasons) = t.get("censored").and_then(Value::as_table) {
-                for (reason, count) in reasons {
-                    *censored.entry(reason.clone()).or_insert(0) += count.as_i64().unwrap_or(0);
-                }
-            }
-        }
-    }
+fn empty_front(outcome: &OptOutcome) -> Option<ApiError> {
+    let empty: Vec<_> = outcome
+        .fronts
+        .iter()
+        .filter(|f| f.front.is_empty())
+        .collect();
     if empty.is_empty() {
         return None;
     }
+    let mut censored: BTreeMap<String, i64> = BTreeMap::new();
+    for (reason, count) in empty.iter().flat_map(|f| &f.censored) {
+        *censored.entry(reason.to_string()).or_insert(0) += *count as i64;
+    }
+    let names: Vec<&str> = empty.iter().map(|f| f.protocol.as_str()).collect();
     Some(ApiError::EmptyFront {
         message: format!(
             "empty front for {} (every candidate censored — see `censored` for reasons)",
-            empty.join(", ")
+            names.join(", ")
         ),
         censored,
     })
 }
 
-/// `/v1/best`: per protocol, the most capable front point within the
-/// duty-cycle budget (fronts are sorted by duty cycle, latency
-/// decreasing, so that is the *last* affordable point).
-fn best_result(doc: &Value, budget: f64) -> Result<Value, ApiError> {
-    let mut choices: Vec<Value> = Vec::new();
-    let mut found = false;
-    for front in fronts_of(doc) {
-        let Some(t) = front.as_table() else { continue };
-        let protocol = t.get("protocol").and_then(Value::as_str).unwrap_or("");
-        let points = t.get("front").and_then(Value::as_array).unwrap_or(&[]);
-        let best = points.iter().rev().find(|p| {
-            p.as_table()
-                .and_then(|pt| pt.get("duty_cycle"))
-                .and_then(Value::as_f64)
-                .is_some_and(|dc| dc <= budget)
-        });
-        let mut entry =
-            BTreeMap::from([("protocol".to_string(), Value::Str(protocol.to_string()))]);
-        match best {
-            Some(point) => {
-                found = true;
-                entry.insert("point".to_string(), point.clone());
-            }
-            None => {
-                entry.insert("point".to_string(), Value::Null);
-            }
-        }
-        choices.push(Value::Table(entry));
-    }
-    if !found {
-        return Err(ApiError::Infeasible(format!(
-            "no configuration fits duty-cycle budget {budget}"
-        )));
-    }
-    Ok(Value::Table(BTreeMap::from([
-        ("budget".to_string(), Value::Float(budget)),
-        ("choices".to_string(), Value::Array(choices)),
-    ])))
-}
-
-/// `/v1/gap`: per-protocol gap-to-bound summary over the front points.
-fn gap_result(doc: &Value) -> Value {
-    let fronts: Vec<Value> = fronts_of(doc)
-        .iter()
-        .filter_map(|front| {
-            let t = front.as_table()?;
-            let protocol = t.get("protocol")?.as_str()?.to_string();
-            let gaps: Vec<f64> = t
-                .get("front")?
-                .as_array()?
-                .iter()
-                .filter_map(|p| p.as_table()?.get("gap_frac")?.as_f64())
-                .filter(|g| g.is_finite())
-                .collect();
-            let stat = |v: f64| {
-                if gaps.is_empty() {
-                    Value::Null
-                } else {
-                    Value::Float(v)
-                }
-            };
-            let mut entry = BTreeMap::new();
-            entry.insert("protocol".to_string(), Value::Str(protocol));
-            entry.insert(
-                "points".to_string(),
-                Value::Int(
-                    t.get("front")
-                        .and_then(Value::as_array)
-                        .unwrap_or(&[])
-                        .len() as i64,
-                ),
-            );
-            entry.insert(
-                "gap_min".to_string(),
-                stat(gaps.iter().copied().fold(f64::INFINITY, f64::min)),
-            );
-            entry.insert(
-                "gap_mean".to_string(),
-                stat(gaps.iter().sum::<f64>() / gaps.len().max(1) as f64),
-            );
-            entry.insert(
-                "gap_max".to_string(),
-                stat(gaps.iter().copied().fold(f64::NEG_INFINITY, f64::max)),
-            );
-            Some(Value::Table(entry))
-        })
-        .collect();
-    Value::Table(BTreeMap::from([(
-        "fronts".to_string(),
-        Value::Array(fronts),
-    )]))
-}
-
 /// Liveness state behind `/healthz`: build identity, uptime, and
-/// stage-pipeline gauges. Shared between the router (which reports it)
-/// and the [`crate::Pipeline`] (which marks completed passes).
+/// background-pass gauges. Shared between the router (which reports it)
+/// and the background loop ([`crate::stages::spawn`], which marks
+/// completed passes).
 pub struct Health {
     start: Instant,
-    /// Completed pipeline passes.
+    /// Completed background passes.
     cycles: AtomicU64,
     /// Milliseconds from `start` to the last completed pass.
     last_cycle_ms: AtomicU64,
@@ -364,7 +285,7 @@ pub struct Health {
 
 impl Health {
     /// Fresh health state; `spool` is the ingest directory to report the
-    /// depth of (None when no pipeline is configured).
+    /// depth of (None when no spool is configured).
     pub fn new(spool: Option<PathBuf>) -> Arc<Health> {
         Arc::new(Health {
             start: Instant::now(),
@@ -374,7 +295,7 @@ impl Health {
         })
     }
 
-    /// Record a completed pipeline pass (called by the pipeline loop).
+    /// Record a completed background pass.
     pub fn mark_cycle(&self) {
         self.last_cycle_ms
             .store(self.start.elapsed().as_millis() as u64, Ordering::Relaxed);
@@ -384,54 +305,36 @@ impl Health {
     /// Pending (non-rejected) files in the spool; `None` when no spool
     /// is configured.
     fn spool_depth(&self) -> Option<i64> {
-        let spool = self.spool.as_ref()?;
-        let entries = std::fs::read_dir(spool).ok()?;
-        Some(
-            entries
-                .filter_map(|e| e.ok().map(|e| e.path()))
-                .filter(|p| p.is_file() && p.extension().is_none_or(|e| e != "rejected"))
-                .count() as i64,
-        )
+        Some(crate::stages::spool_files(self.spool.as_ref()?)?.len() as i64)
     }
 
     /// The `/healthz` response body.
     fn body(&self) -> String {
         let cycles = self.cycles.load(Ordering::Relaxed);
-        let mut t = BTreeMap::from([
-            ("api".to_string(), Value::Str(API_VERSION.to_string())),
-            ("status".to_string(), Value::Str("ok".to_string())),
+        let last_cycle_age_s = if cycles == 0 {
+            Value::Null
+        } else {
+            let last_ms = self.last_cycle_ms.load(Ordering::Relaxed);
+            let now_ms = self.start.elapsed().as_millis() as u64;
+            Value::Float(now_ms.saturating_sub(last_ms) as f64 / 1e3)
+        };
+        table([
+            ("api", Value::Str(API_VERSION.to_string())),
+            ("status", Value::Str("ok".to_string())),
+            ("version", Value::Str(env!("CARGO_PKG_VERSION").to_string())),
+            ("engine", Value::Str(nd_sweep::ENGINE_VERSION.to_string())),
+            ("uptime_s", Value::Float(self.start.elapsed().as_secs_f64())),
             (
-                "version".to_string(),
-                Value::Str(env!("CARGO_PKG_VERSION").to_string()),
-            ),
-            (
-                "engine".to_string(),
-                Value::Str(nd_sweep::ENGINE_VERSION.to_string()),
-            ),
-            (
-                "uptime_s".to_string(),
-                Value::Float(self.start.elapsed().as_secs_f64()),
-            ),
-            (
-                "stage_cycles".to_string(),
+                "stage_cycles",
                 Value::Int(cycles.min(i64::MAX as u64) as i64),
             ),
-        ]);
-        t.insert(
-            "spool_depth".to_string(),
-            self.spool_depth().map_or(Value::Null, Value::Int),
-        );
-        t.insert(
-            "last_cycle_age_s".to_string(),
-            if cycles == 0 {
-                Value::Null
-            } else {
-                let last_ms = self.last_cycle_ms.load(Ordering::Relaxed);
-                let now_ms = self.start.elapsed().as_millis() as u64;
-                Value::Float(now_ms.saturating_sub(last_ms) as f64 / 1e3)
-            },
-        );
-        Value::Table(t).to_json_pretty()
+            (
+                "spool_depth",
+                self.spool_depth().map_or(Value::Null, Value::Int),
+            ),
+            ("last_cycle_age_s", last_cycle_age_s),
+        ])
+        .to_json_pretty()
     }
 }
 
@@ -479,8 +382,8 @@ impl App {
         }
     }
 
-    /// Report `health` from `/healthz` (share it with the pipeline via
-    /// [`crate::Pipeline::with_health`]).
+    /// Report `health` from `/healthz` (share it with the background
+    /// loop, [`crate::stages::spawn`]).
     pub fn with_health(mut self, health: Arc<Health>) -> App {
         self.health = health;
         self
@@ -524,17 +427,14 @@ impl App {
         if self.access_log {
             eprintln!(
                 "{}",
-                Value::Table(BTreeMap::from([
-                    ("t".to_string(), Value::Str("access".to_string())),
-                    ("method".to_string(), Value::Str(req.method.clone())),
-                    ("path".to_string(), Value::Str(req.path.clone())),
-                    ("status".to_string(), Value::Int(resp.status as i64)),
-                    ("us".to_string(), Value::Int(us as i64)),
-                    (
-                        "trace_id".to_string(),
-                        Value::Str(trace_id.as_ref().to_string()),
-                    ),
-                ]))
+                table([
+                    ("t", Value::Str("access".to_string())),
+                    ("method", Value::Str(req.method.clone())),
+                    ("path", Value::Str(req.path.clone())),
+                    ("status", Value::Int(resp.status as i64)),
+                    ("us", Value::Int(us as i64)),
+                    ("trace_id", Value::Str(trace_id.as_ref().to_string())),
+                ])
                 .to_json()
             );
         }
@@ -583,9 +483,9 @@ impl App {
 }
 
 fn status_body(status: &str) -> String {
-    Value::Table(BTreeMap::from([
-        ("api".to_string(), Value::Str(API_VERSION.to_string())),
-        ("status".to_string(), Value::Str(status.to_string())),
-    ]))
+    table([
+        ("api", Value::Str(API_VERSION.to_string())),
+        ("status", Value::Str(status.to_string())),
+    ])
     .to_json_pretty()
 }

@@ -1,237 +1,158 @@
-//! The background stage pipeline: **ingest → execute → prune**.
+//! The background pass: **ingest → execute → prune**, run every
+//! `--stage-interval` seconds by [`spawn`].
 //!
-//! Layout after reth's staged-sync design (`crates/stages`): each stage
-//! is a small unit with an id and an `execute` step, and a `Pipeline`
-//! runs them in order — either once ([`Pipeline::run_once`]) or on an
-//! interval from a background thread ([`Pipeline::spawn`]).
-//!
-//! - **ingest** scans a spool directory for dropped-off planning specs
-//!   (TOML or `.json`, same grammar as `nd-opt run`) and parses them;
-//!   consumed files are deleted, unparseable ones renamed to
-//!   `<name>.rejected` so they are inspected, not retried forever.
+//! - **ingest** takes the planning specs dropped into a spool directory
+//!   (TOML or `.json`, the grammar of `nd-opt --spec`); consumed files are
+//!   deleted, and unparseable ones — or ones over the request-body cap
+//!   of 1 MiB, which are not read at all — renamed `<name>.rejected` so
+//!   they are inspected, not retried forever.
 //! - **execute** runs every ingested spec through the [`Planner`] — the
 //!   results land in the on-disk cache and the response memo, so the
 //!   specs clients will ask for are warm before they ask.
-//! - **prune** is `nd-sweep cache gc` wearing a stage id: it LRU-evicts
-//!   the shared result cache down to a byte budget.
+//! - **prune** is `nd-sweep cache gc` on a schedule: it LRU-evicts the
+//!   shared result cache down to a byte budget.
+//!
+//! Each step runs only when configured (ingest and execute with a spool,
+//! prune with a byte budget), under a `serve.stage` span, and counts
+//! `serve.stage.<id>.runs` and `serve.stage.<id>.processed`.
 
-use crate::service::Planner;
+use crate::http::MAX_BODY;
+use crate::service::{Health, Planner};
 use nd_opt::OptSpec;
 use nd_sweep::ResultCache;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What a stage run accomplished, for the caller's log line.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct StageReport {
-    /// Items the stage processed (specs ingested / executed, cache
-    /// entries evicted).
-    pub processed: usize,
-    /// Items that failed (unparseable spool files, failed searches).
+/// What one pass did.
+#[derive(Debug, Default)]
+pub struct Pass {
+    /// Spool files parsed into specs.
+    pub ingested: usize,
+    /// Spool files renamed `.rejected`.
+    pub rejected: usize,
+    /// Specs whose search completed.
+    pub executed: usize,
+    /// Specs whose search failed.
     pub failed: usize,
+    /// Cache entries evicted.
+    pub pruned: usize,
 }
 
-/// Shared state flowing through one pipeline pass.
-#[derive(Default)]
-pub struct StageContext {
-    /// Specs picked up by ingest, awaiting execute.
-    pub pending: Vec<OptSpec>,
-}
-
-/// One pipeline stage.
-pub trait Stage: Send {
-    /// Stable identifier, used for metrics (`serve.stage.<id>.runs`) and
-    /// trace spans.
-    fn id(&self) -> &'static str;
-    /// Run the stage once.
-    fn execute(&self, ctx: &mut StageContext) -> StageReport;
-}
-
-/// Scan a spool directory for planning specs.
-pub struct IngestStage {
-    spool: PathBuf,
-}
-
-impl IngestStage {
-    /// Watch `spool` for spec files.
-    pub fn new(spool: impl Into<PathBuf>) -> IngestStage {
-        IngestStage {
-            spool: spool.into(),
-        }
-    }
-}
-
-impl Stage for IngestStage {
-    fn id(&self) -> &'static str {
-        "ingest"
-    }
-
-    fn execute(&self, ctx: &mut StageContext) -> StageReport {
-        let mut report = StageReport::default();
-        let Ok(entries) = std::fs::read_dir(&self.spool) else {
-            return report; // no spool directory yet: nothing to do
-        };
-        let mut paths: Vec<PathBuf> = entries
+/// The pending files in `spool`: every file not yet renamed
+/// `.rejected`. `None` when the directory cannot be read.
+pub(crate) fn spool_files(spool: &Path) -> Option<Vec<PathBuf>> {
+    let entries = std::fs::read_dir(spool).ok()?;
+    Some(
+        entries
             .filter_map(|e| e.ok().map(|e| e.path()))
             .filter(|p| p.is_file() && p.extension().is_none_or(|e| e != "rejected"))
-            .collect();
-        paths.sort(); // deterministic pick-up order
-        for path in paths {
-            match OptSpec::from_file(&path) {
-                Ok(spec) => {
-                    ctx.pending.push(spec);
-                    report.processed += 1;
-                    let _ = std::fs::remove_file(&path);
-                }
-                Err(err) => {
-                    report.failed += 1;
-                    eprintln!("nd-serve: rejecting spool file {}: {err}", path.display());
-                    let mut rejected = path.clone().into_os_string();
-                    rejected.push(".rejected");
-                    let _ = std::fs::rename(&path, rejected);
-                }
-            }
-        }
-        report
-    }
+            .collect(),
+    )
 }
 
-/// Run ingested specs through the planner to pre-warm cache and memo.
-pub struct ExecuteStage {
-    planner: Arc<Planner>,
-}
-
-impl ExecuteStage {
-    /// Execute against `planner` (the same one serving requests, so the
-    /// memo warms too).
-    pub fn new(planner: Arc<Planner>) -> ExecuteStage {
-        ExecuteStage { planner }
-    }
-}
-
-impl Stage for ExecuteStage {
-    fn id(&self) -> &'static str {
-        "execute"
-    }
-
-    fn execute(&self, ctx: &mut StageContext) -> StageReport {
-        let mut report = StageReport::default();
-        for spec in ctx.pending.drain(..) {
-            let (result, _served) = self.planner.front_document(&spec);
-            match result {
-                Ok(_) => report.processed += 1,
-                Err(err) => {
-                    report.failed += 1;
-                    eprintln!("nd-serve: spooled spec `{}` failed: {err}", spec.base.name);
-                }
-            }
-        }
-        report
-    }
-}
-
-/// LRU-evict the result cache down to a byte budget (`cache gc` as a
-/// pipeline stage).
-pub struct PruneStage {
-    cache: ResultCache,
-    max_bytes: u64,
-}
-
-impl PruneStage {
-    /// Prune `cache` down to `max_bytes`.
-    pub fn new(cache: ResultCache, max_bytes: u64) -> PruneStage {
-        PruneStage { cache, max_bytes }
-    }
-}
-
-impl Stage for PruneStage {
-    fn id(&self) -> &'static str {
-        "prune"
-    }
-
-    fn execute(&self, _ctx: &mut StageContext) -> StageReport {
-        let gc = self.cache.gc(self.max_bytes, false);
-        nd_obs::metrics::add("serve.pruned_bytes", gc.evicted_bytes);
-        StageReport {
-            processed: gc.evicted_entries,
-            failed: 0,
-        }
-    }
-}
-
-/// An ordered list of stages plus the run loop.
-pub struct Pipeline {
-    stages: Vec<Box<dyn Stage>>,
-    health: Option<Arc<crate::service::Health>>,
-}
-
-impl Pipeline {
-    /// Build a pipeline from stages, run in the given order.
-    pub fn new(stages: Vec<Box<dyn Stage>>) -> Pipeline {
-        Pipeline {
-            stages,
-            health: None,
-        }
-    }
-
-    /// Mark completed passes on `health`, so `/healthz` reports the
-    /// cycle count and the age of the last pass.
-    pub fn with_health(mut self, health: Arc<crate::service::Health>) -> Pipeline {
-        self.health = Some(health);
-        self
-    }
-
-    /// Run every stage once, in order, threading a fresh context
-    /// through. Returns `(id, report)` per stage.
-    pub fn run_once(&self) -> Vec<(&'static str, StageReport)> {
-        let _span = nd_obs::span!("serve.pipeline", stages = self.stages.len());
-        let mut ctx = StageContext::default();
-        let mut reports = Vec::with_capacity(self.stages.len());
-        for stage in &self.stages {
-            let _span = nd_obs::span!("serve.stage", id = stage.id());
-            let report = stage.execute(&mut ctx);
-            nd_obs::metrics::inc(&format!("serve.stage.{}.runs", stage.id()));
-            nd_obs::metrics::add(
-                &format!("serve.stage.{}.processed", stage.id()),
-                report.processed as u64,
-            );
-            reports.push((stage.id(), report));
-        }
-        if let Some(health) = &self.health {
-            health.mark_cycle();
-        }
-        reports
-    }
-
-    /// Run the pipeline every `interval` on a background thread until
-    /// `shutdown` flips (checked once a second so shutdown is prompt
-    /// even with long intervals). Join the returned handle on exit.
-    pub fn spawn(
-        self,
-        interval: Duration,
-        shutdown: Arc<AtomicBool>,
-    ) -> std::thread::JoinHandle<()> {
-        std::thread::spawn(move || {
-            let tick = Duration::from_secs(1);
-            loop {
-                let mut waited = Duration::ZERO;
-                while waited < interval {
-                    if shutdown.load(Ordering::SeqCst) {
-                        return;
+/// Run one pass: ingest `spool` and execute what it held when a spool is
+/// given, then prune the cache to its byte budget when one is given.
+pub fn run_pass(
+    planner: &Planner,
+    spool: Option<&Path>,
+    prune: Option<&(ResultCache, u64)>,
+) -> Pass {
+    let steps = 2 * usize::from(spool.is_some()) + usize::from(prune.is_some());
+    let _span = nd_obs::span!("serve.pipeline", stages = steps);
+    let mut pass = Pass::default();
+    if let Some(spool) = spool {
+        let mut specs = Vec::new();
+        step("ingest", || {
+            let mut paths = spool_files(spool).unwrap_or_default();
+            paths.sort(); // deterministic pick-up order
+            for path in paths {
+                match read_spec(&path) {
+                    Ok(spec) => {
+                        specs.push(spec);
+                        let _ = std::fs::remove_file(&path);
                     }
-                    let step = tick.min(interval - waited);
-                    std::thread::sleep(step);
-                    waited += step;
+                    Err(err) => {
+                        pass.rejected += 1;
+                        eprintln!("nd-serve: rejecting spool file {}: {err}", path.display());
+                        let mut rejected = path.clone().into_os_string();
+                        rejected.push(".rejected");
+                        let _ = std::fs::rename(&path, rejected);
+                    }
                 }
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                self.run_once();
             }
-        })
+            pass.ingested = specs.len();
+            pass.ingested
+        });
+        step("execute", || {
+            for spec in &specs {
+                match planner.search(spec).0 {
+                    Ok(_) => pass.executed += 1,
+                    Err(err) => {
+                        pass.failed += 1;
+                        eprintln!("nd-serve: spooled spec `{}` failed: {err}", spec.base.name);
+                    }
+                }
+            }
+            pass.executed
+        });
     }
+    if let Some((cache, max_bytes)) = prune {
+        step("prune", || {
+            let gc = cache.gc(*max_bytes, false);
+            nd_obs::metrics::add("serve.pruned_bytes", gc.evicted_bytes);
+            pass.pruned = gc.evicted_entries;
+            pass.pruned
+        });
+    }
+    pass
+}
+
+/// Run one step under its `serve.stage` span; `f` returns the items it
+/// processed.
+fn step(id: &'static str, f: impl FnOnce() -> usize) {
+    let _span = nd_obs::span!("serve.stage", id = id);
+    let processed = f();
+    nd_obs::metrics::inc(&format!("serve.stage.{id}.runs"));
+    nd_obs::metrics::add(&format!("serve.stage.{id}.processed"), processed as u64);
+}
+
+/// Parse one spool file; one over [`MAX_BODY`] bytes is refused unread.
+fn read_spec(path: &Path) -> Result<OptSpec, String> {
+    let len = std::fs::metadata(path).map_err(|e| e.to_string())?.len();
+    if len > MAX_BODY as u64 {
+        return Err(format!("{len} bytes, over the {MAX_BODY}-byte cap"));
+    }
+    OptSpec::from_file(path).map_err(|e| e.to_string())
+}
+
+/// Run [`run_pass`] every `interval` on a background thread until
+/// `shutdown` flips (checked once a second so shutdown is prompt even
+/// with long intervals), marking each pass on `health`. Join the
+/// returned handle on exit.
+pub fn spawn(
+    planner: Arc<Planner>,
+    spool: Option<PathBuf>,
+    prune: Option<(ResultCache, u64)>,
+    health: Arc<Health>,
+    interval: Duration,
+    shutdown: Arc<AtomicBool>,
+) -> std::thread::JoinHandle<()> {
+    std::thread::spawn(move || {
+        let mut waited = Duration::ZERO;
+        while !shutdown.load(Ordering::SeqCst) {
+            if waited < interval {
+                let step = Duration::from_secs(1).min(interval - waited);
+                std::thread::sleep(step);
+                waited += step;
+            } else {
+                run_pass(&planner, spool.as_deref(), prune.as_ref());
+                health.mark_cycle();
+                waited = Duration::ZERO;
+            }
+        }
+    })
 }
 
 #[cfg(test)]
@@ -252,41 +173,37 @@ mod tests {
         std::fs::create_dir_all(&spool).unwrap();
         std::fs::write(spool.join("front.json"), SPEC).unwrap();
         std::fs::write(spool.join("broken.json"), "{ not json").unwrap();
+        // one byte over the cap: refused unread, whatever it holds
+        std::fs::write(spool.join("huge.json"), vec![b' '; MAX_BODY + 1]).unwrap();
 
-        let planner = Arc::new(Planner::new(
+        let planner = Planner::new(
             OptOptions {
                 threads: Some(1),
                 cache_dir: Some(cache_dir.clone()),
                 ..OptOptions::default()
             },
             16,
-        ));
-        let pipeline = Pipeline::new(vec![
-            Box::new(IngestStage::new(&spool)),
-            Box::new(ExecuteStage::new(Arc::clone(&planner))),
-            Box::new(PruneStage::new(ResultCache::at(&cache_dir), 1)),
-        ]);
-        let reports = pipeline.run_once();
+        );
+        let prune = (ResultCache::at(&cache_dir), 1);
+        let pass = run_pass(&planner, Some(&spool), Some(&prune));
 
-        let report = |id: &str| &reports.iter().find(|(s, _)| *s == id).unwrap().1;
-        let ingest = report("ingest");
-        assert_eq!((ingest.processed, ingest.failed), (1, 1));
+        assert_eq!((pass.ingested, pass.rejected), (1, 2));
         assert!(
             !spool.join("front.json").exists(),
             "consumed spec is deleted"
         );
-        assert!(!spool.join("broken.json").exists());
-        assert!(spool.join("broken.json.rejected").exists());
-        assert_eq!(report("execute").processed, 1);
-        assert!(
-            report("prune").processed > 0,
-            "the front's rows were cached"
-        );
+        for name in ["broken.json", "huge.json"] {
+            assert!(!spool.join(name).exists());
+            assert!(spool.join(format!("{name}.rejected")).exists());
+        }
+        assert_eq!(spool_files(&spool), Some(vec![]), "nothing left pending");
+        assert_eq!((pass.executed, pass.failed), (1, 0));
+        assert!(pass.pruned > 0, "the front's rows were cached");
         assert_eq!(ResultCache::at(&cache_dir).stats().entries, 0);
 
         // the memo outlives the pruned cache: the front is served warm
         let spec = OptSpec::from_json_str(SPEC).unwrap();
-        let (result, served) = planner.front_document(&spec);
+        let (result, served) = planner.search(&spec);
         assert!(result.is_ok());
         assert_eq!(
             served,

@@ -6,7 +6,7 @@
 //! Metric-asserting tests live in `serve_coalesce.rs` — the metrics
 //! registry is process-global, so they need their own test binary.
 
-use nd_opt::OptOptions;
+use nd_opt::{run_opt, OptOptions, OptSpec};
 use nd_serve::{http, App, Planner};
 use nd_sweep::value::{parse_json, Value};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -210,6 +210,26 @@ fn cold_query_computes_then_warm_queries_serve_with_zero_evaluations() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `/v1/front` answers exactly nd-opt's document for the same spec.
+fn front_matches_nd_opt(client: &mut Client) -> Vec<Value> {
+    let (status, body) = client.send("POST", "/v1/front", &envelope(quick_spec(), ""));
+    assert_eq!(status, 200, "{body}");
+    let spec = OptSpec::from_json_str(quick_spec()).unwrap();
+    let expected = nd_opt::to_json(&run_opt(&spec, &OptOptions::uncached()).unwrap());
+    let result = get(&body, &["result"]);
+    assert_eq!(result, parse_json(&expected).unwrap());
+    let fronts = get(&body, &["result", "fronts"]);
+    let front = &fronts.as_array().unwrap()[0];
+    front.as_table().unwrap()["front"]
+        .as_array()
+        .unwrap()
+        .to_vec()
+}
+
+fn duty_cycle(point: &Value) -> f64 {
+    point.as_table().unwrap()["duty_cycle"].as_f64().unwrap()
+}
+
 /// `/v1/best` picks the most capable affordable point per protocol; an
 /// unaffordable budget is a 422 `infeasible`.
 #[test]
@@ -217,46 +237,78 @@ fn best_respects_the_budget_and_reports_infeasible() {
     let _quiet = shared();
     let server = TestServer::start(OptOptions::uncached());
     let mut client = Client::connect(server.addr);
+    let front = front_matches_nd_opt(&mut client);
+    assert!(front.len() >= 2, "{front:?}");
+    let best = |client: &mut Client, budget: f64| {
+        let budget = Value::Float(budget).to_json();
+        client.send(
+            "POST",
+            "/v1/best",
+            &envelope(quick_spec(), &format!(r#", "budget": {budget}"#)),
+        )
+    };
 
-    let (status, body) = client.send(
-        "POST",
-        "/v1/best",
-        &envelope(quick_spec(), r#", "budget": 0.05"#),
-    );
-    assert_eq!(status, 200, "{body}");
-    let choices = get(&body, &["result", "choices"]);
-    let choice = choices.as_array().unwrap()[0].as_table().unwrap();
-    assert_eq!(choice["protocol"].as_str(), Some("optimal-slotless"));
-    let dc = choice["point"].as_table().unwrap()["duty_cycle"]
-        .as_f64()
-        .unwrap();
-    assert!(dc <= 0.05, "affordable: {dc}");
+    // between two front points, and exactly at one: the point with the
+    // largest affordable duty cycle, as a scan of the front finds it
+    let between = (duty_cycle(&front[0]) + duty_cycle(&front[1])) / 2.0;
+    let exact = duty_cycle(&front[front.len() / 2]);
+    for budget in [between, exact] {
+        let expected = front
+            .iter()
+            .filter(|p| duty_cycle(p) <= budget)
+            .max_by(|a, b| duty_cycle(a).total_cmp(&duty_cycle(b)))
+            .unwrap();
+        let (status, body) = best(&mut client, budget);
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(get(&body, &["result", "budget"]).as_f64(), Some(budget));
+        let choices = get(&body, &["result", "choices"]);
+        let choice = choices.as_array().unwrap()[0].as_table().unwrap();
+        assert_eq!(choice["protocol"].as_str(), Some("optimal-slotless"));
+        assert_eq!(&choice["point"], expected, "budget {budget}");
+    }
 
-    // a budget nothing can meet: well-formed, unsatisfiable
-    let (status, body) = client.send(
-        "POST",
-        "/v1/best",
-        &envelope(quick_spec(), r#", "budget": 1e-7"#),
-    );
+    // below every point: well-formed, unsatisfiable
+    let (status, body) = best(&mut client, duty_cycle(&front[0]) / 2.0);
     assert_eq!(status, 422, "{body}");
     assert_eq!(error_code(&body), "infeasible");
 }
 
-/// `/v1/gap` summarizes distance-to-bound per protocol.
+/// `/v1/gap` summarizes distance-to-bound per protocol: min, mean and
+/// max over the finite gaps, in front order.
 #[test]
 fn gap_summarizes_distance_to_bound() {
     let _quiet = shared();
     let server = TestServer::start(OptOptions::uncached());
     let mut client = Client::connect(server.addr);
+    let front = front_matches_nd_opt(&mut client);
+    let gaps: Vec<f64> = front
+        .iter()
+        .filter_map(|p| p.as_table().unwrap()["gap_frac"].as_f64())
+        .filter(|g| g.is_finite())
+        .collect();
+    assert!(!gaps.is_empty());
+
     let (status, body) = client.send("POST", "/v1/gap", &envelope(quick_spec(), ""));
     assert_eq!(status, 200, "{body}");
-    let front = get(&body, &["result", "fronts"]).as_array().unwrap()[0].clone();
-    let t = front.as_table().unwrap();
+    let fronts = get(&body, &["result", "fronts"]);
+    let t = fronts.as_array().unwrap()[0].as_table().unwrap();
     assert_eq!(t["protocol"].as_str(), Some("optimal-slotless"));
-    assert!(t["points"].as_i64().unwrap() > 0);
+    assert_eq!(t["points"].as_i64(), Some(front.len() as i64));
+    let stat = |key: &str| t[key].as_f64().unwrap();
+    assert_eq!(
+        stat("gap_min"),
+        gaps.iter().copied().fold(f64::INFINITY, f64::min)
+    );
+    assert_eq!(
+        stat("gap_mean"),
+        gaps.iter().sum::<f64>() / gaps.len() as f64
+    );
+    assert_eq!(
+        stat("gap_max"),
+        gaps.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+    );
     // the optimal construction tracks the bound closely
-    assert!(t["gap_max"].as_f64().unwrap() < 0.05);
-    assert!(t["gap_min"].as_f64().unwrap() <= t["gap_max"].as_f64().unwrap());
+    assert!(stat("gap_max") < 0.05);
 }
 
 /// The wire error taxonomy: every failure class maps to its documented

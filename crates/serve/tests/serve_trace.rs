@@ -5,18 +5,32 @@
 //! One `#[test]` in its own binary: the trace sink (like the metrics
 //! registry) is process-global, so nothing else may run concurrently.
 
-use nd_opt::OptOptions;
+use nd_opt::{run_opt, OptOptions};
 use nd_serve::{http, App, Planner};
 use nd_sweep::value::{parse_json, Value};
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 const FANOUT: usize = 32;
 const HERD: usize = 8;
+
+/// Wait until `n` followers have found a pending slot (`serve.coalesced`
+/// counts them before they block); false after 60 s without them.
+fn followers_wait(n: usize) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while nd_obs::metrics::counter("serve.coalesced").get() < n as u64 {
+        if Instant::now() > deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    true
+}
 
 fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("nd-serve-trace-{tag}-{}", std::process::id()))
@@ -106,9 +120,22 @@ fn trace_ids_flow_end_to_end_under_concurrency() {
 
     let opts = OptOptions {
         threads: Some(2),
+        strict_cache: true,
         ..OptOptions::uncached()
     };
-    let planner = Arc::new(Planner::new(opts, 1024));
+    // the herd's leader waits until every follower has found its slot
+    // pending, so coalescing does not depend on scheduler timing; a herd
+    // that never gathers fails the test instead of hanging it
+    let gathered = Arc::new(AtomicBool::new(false));
+    let planner = Arc::new({
+        let gathered = Arc::clone(&gathered);
+        Planner::with_compute(1024, move |spec| {
+            if spec.base.name == "herd" {
+                gathered.store(followers_wait(HERD - 1), Ordering::SeqCst);
+            }
+            run_opt(spec, &opts)
+        })
+    });
     let server = http::Server::bind("127.0.0.1:0").unwrap();
     let addr = server.addr();
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -174,8 +201,12 @@ fn trace_ids_flow_end_to_end_under_concurrency() {
             leader_ids.push(id.clone());
         }
     }
+    assert!(
+        gathered.load(Ordering::SeqCst),
+        "the herd did not gather within 60 s"
+    );
     assert_eq!(leader_ids.len(), 1, "exactly one herd leader computed");
-    assert!(coalesced >= 1, "at least one follower coalesced");
+    assert_eq!(coalesced, HERD - 1, "every follower coalesced");
 
     // --- no client id: the server generates one
     let (status, echoed, _body) = request(addr, "GET", "/healthz", "", None);
