@@ -427,13 +427,21 @@ fn corrupt_cache_is_a_500_not_a_recompute() {
         assert_eq!(status, 200);
     }
 
-    // vandalize every entry
+    // vandalize every entry: garbage of the entry's own length keeps
+    // each result line complete, so it reads as corrupt, not torn
     let mut corrupted = 0;
-    for shard in std::fs::read_dir(&cache_dir).unwrap() {
-        for entry in std::fs::read_dir(shard.unwrap().path()).unwrap() {
-            std::fs::write(entry.unwrap().path(), "{ truncated garbage").unwrap();
-            corrupted += 1;
+    for pack in std::fs::read_dir(&cache_dir).unwrap() {
+        let path = pack.unwrap().path();
+        let mut text = std::fs::read(&path).unwrap();
+        for line in text.split_mut(|&b| b == b'\n') {
+            // `<hash> <unix_ns> <len> <entry>`; touch lines have no entry
+            let spaces: Vec<usize> = (0..line.len()).filter(|&i| line[i] == b' ').collect();
+            if let Some(&third) = spaces.get(2) {
+                line[third + 1..].fill(b'{');
+                corrupted += 1;
+            }
         }
+        std::fs::write(&path, text).unwrap();
     }
     assert!(
         corrupted > 0,

@@ -54,3 +54,8 @@ pub use export::{to_csv, to_json, EXPORT_SCHEMA};
 pub use grid::{expand, Job};
 pub use spec::{Backend, Metric, ScenarioSpec, SpecError, ENGINE_VERSION};
 pub use value::Value;
+
+/// Serializes the unit tests that switch the global metrics registry on
+/// or off, reset it, or read its counters.
+#[cfg(test)]
+pub(crate) static METRICS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

@@ -132,6 +132,9 @@ mod tests {
 
     #[test]
     fn instrumentation_records_task_latency() {
+        let _metrics = crate::METRICS_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         nd_obs::metrics::set_enabled(true);
         nd_obs::metrics::reset();
         let items: Vec<u64> = (0..20).collect();
