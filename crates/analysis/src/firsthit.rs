@@ -50,10 +50,10 @@
 //! the same order.
 
 use crate::exact::{AnalysisConfig, CoverageCase, WorstCase};
-use crate::residue::{gcd_ticks, ultimate_covered_measure};
+use crate::residue::ultimate_covered_measure;
 use nd_core::error::NdError;
 use nd_core::interval::{Interval, IntervalSet};
-use nd_core::schedule::{BeaconSeq, ReceptionWindows};
+use nd_core::schedule::{gcd, BeaconSeq, ReceptionWindows};
 use nd_core::time::Tick;
 use std::fmt;
 
@@ -137,7 +137,7 @@ impl FirstHits {
         let train = Train::new(beacons, p);
         // all distinct images appear within one lcm(T_B, T_C) of beacons
         let t_b = beacons.period().as_nanos();
-        let distinct = (t_b / gcd_ticks(beacons.period(), period).as_nanos())
+        let distinct = (t_b / gcd(t_b, p))
             .checked_mul(p)
             .map(|l| (l / t_b).saturating_mul(train.m as u64))
             .unwrap_or(u64::MAX);

@@ -12,7 +12,11 @@
 //! * [`dist`] — exact latency *distributions* (CDF, quantiles, mean), not
 //!   just the worst case;
 //! * [`montecarlo`] — randomized-phase simulation campaigns on
-//!   `nd-netsim`, for collisions, fault injection and reactive protocols;
+//!   `nd-netsim`, for collisions, fault injection and reactive protocols.
+//!   One runner, [`Trials`], sets up and seeds every campaign's trials:
+//!   trial `t` of a campaign rooted at seed `r` runs on channel seed
+//!   `stream_seed(r, t)` and draws its phases from one `StdRng` seeded
+//!   with `r`;
 //! * [`residue`] — residue-class gap folding: the ultimate coverage of an
 //!   expansion, computed from one fold per beacon so co-prime schedule
 //!   pairs with huge hyperperiods stop expanding the moment coverage
@@ -36,8 +40,6 @@ pub use exact::{
     AnalysisConfig, CoverageCase, WorstCase,
 };
 pub use firsthit::{FirstHitError, FirstHits};
-pub use montecarlo::{
-    group_success_rate, group_success_rate_factory, pair_trials, LatencySummary, PairMetric,
-};
+pub use montecarlo::{group_success_rate, pair_trials, LatencySummary, Trials};
 pub use residue::ultimate_covered_measure;
 pub use verify::{cross_validate, Verification};

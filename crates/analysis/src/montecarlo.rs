@@ -1,18 +1,88 @@
-//! Monte-Carlo harness: repeated randomized-phase simulations on
+//! Monte-Carlo harness: independent randomized-phase simulations on
 //! `nd-netsim`, for the statistics the closed-form analysis cannot give
 //! (collisions among S > 2 devices, fault injection, reactive protocols).
+//!
+//! Every campaign in the workspace runs through [`Trials`]: the sweep's
+//! `montecarlo` and `netsim` backends, [`pair_trials`],
+//! [`group_success_rate`] and the experiments' own trials. So every trial
+//! is set up, seeded and read out one way.
 
+use nd_core::metric::Metric;
 use nd_core::schedule::Schedule;
+use nd_core::seed::stream_seed;
 use nd_core::time::Tick;
 use nd_netsim::{CohortReport, NetSimulator, NodeSpec};
 use nd_sim::{Behavior, ScheduleBehavior, SimConfig, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Which discovery completion a pair trial waits for: `OneWay` is device 1
-/// discovering device 0 (Theorem 5.4), `EitherWay` either direction
-/// (Appendix C), `TwoWay` both directions (Theorems 5.5/5.7).
-pub use nd_netsim::PairMetric;
+/// A campaign of independent discovery trials rooted at one seed,
+/// `cfg.seed`.
+///
+/// Trial `t` is one [`NetSimulator`] run of `cfg` on channel seed
+/// [`stream_seed`]`(cfg.seed, t)`, over [`Topology::full`] of the nodes its
+/// caller builds, added in the order given (a node's place is its stream
+/// id). The caller draws each trial's phases, and any other set-up
+/// randomness, from [`Trials::rng`].
+pub struct Trials {
+    /// Every trial's configuration but its seed; `seed` is the root.
+    cfg: SimConfig,
+    /// Stop each run once every pair has discovered in both directions.
+    stop_early: bool,
+    /// The set-up stream, `StdRng::seed_from_u64(cfg.seed)` from
+    /// [`Trials::new`].
+    pub rng: StdRng,
+}
+
+impl Trials {
+    /// Trials rooted at `cfg.seed`.
+    pub fn new(cfg: SimConfig, stop_early: bool) -> Self {
+        let rng = StdRng::seed_from_u64(cfg.seed);
+        Trials {
+            cfg,
+            stop_early,
+            rng,
+        }
+    }
+
+    /// Run `trials` trials, `nodes` building each one's nodes from the
+    /// set-up stream; yields the reports in trial order.
+    pub fn run(
+        mut self,
+        trials: usize,
+        mut nodes: impl FnMut(&mut StdRng) -> Vec<NodeSpec>,
+    ) -> impl Iterator<Item = CohortReport> {
+        (0..trials as u64).map(move |t| {
+            let specs = nodes(&mut self.rng);
+            let cfg = SimConfig {
+                seed: stream_seed(self.cfg.seed, t),
+                ..self.cfg.clone()
+            };
+            let mut sim = NetSimulator::new(cfg, Topology::full(specs.len()));
+            for spec in specs {
+                sim.add_node(spec);
+            }
+            sim.stop_when_all_discovered(self.stop_early);
+            sim.run()
+        })
+    }
+}
+
+/// A uniform initial phase in `[0, period)` (`period` is at least 1 ns,
+/// as every [`Schedule::period`] is).
+pub fn random_phase(period: Tick, rng: &mut StdRng) -> Tick {
+    Tick(rng.gen_range(0..period.as_nanos()))
+}
+
+/// A two-node run's latency under `metric`: node 1 discovering node 0
+/// (one-way), either direction, or both.
+pub fn pair_latency(report: &CohortReport, metric: Metric) -> Option<Tick> {
+    match metric {
+        Metric::OneWay => report.discovery.one_way(1, 0),
+        Metric::EitherWay => report.discovery.either_way(0, 1),
+        Metric::TwoWay => report.discovery.two_way(0, 1),
+    }
+}
 
 /// Summary statistics over a set of per-trial latencies.
 #[derive(Clone, Debug)]
@@ -70,124 +140,54 @@ impl LatencySummary {
     }
 }
 
-/// Run `trials` pair simulations with independently random phases for both
-/// schedules; returns per-trial latency (None if not discovered within the
-/// configured horizon).
+/// Run `trials` pair simulations rooted at `cfg.seed`, with independently
+/// random phases for both schedules; returns per-trial latency (None if
+/// not discovered within the configured horizon).
 pub fn pair_trials(
     sched_a: &Schedule,
     sched_b: &Schedule,
-    metric: PairMetric,
+    metric: Metric,
     cfg: &SimConfig,
     trials: usize,
 ) -> Vec<Option<Tick>> {
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x9e37_79b9_7f4a_7c15);
-    let mut out = Vec::with_capacity(trials);
-    for trial in 0..trials {
-        let phase_a = random_phase(sched_a, &mut rng);
-        let phase_b = random_phase(sched_b, &mut rng);
-        let mut cfg_t = cfg.clone();
-        cfg_t.seed = cfg
-            .seed
-            .wrapping_add(trial as u64)
-            .wrapping_mul(0x5851_f42d_4c95_7f2d);
-        let mut sim = NetSimulator::new(cfg_t, Topology::full(2));
-        for (sched, phase) in [(sched_a, phase_a), (sched_b, phase_b)] {
-            let behavior = ScheduleBehavior::with_phase(sched.clone(), phase);
-            sim.add_node(NodeSpec::always_on(Box::new(behavior)));
-        }
-        sim.stop_when_all_discovered(matches!(metric, PairMetric::TwoWay));
-        let report = sim.run();
-        let latency = match metric {
-            PairMetric::OneWay => report.discovery.one_way(1, 0),
-            PairMetric::EitherWay => report.discovery.either_way(0, 1),
-            PairMetric::TwoWay => report.discovery.two_way(0, 1),
-        };
-        out.push(latency);
-    }
-    out
+    Trials::new(cfg.clone(), metric == Metric::TwoWay)
+        .run(trials, |rng| {
+            [sched_a, sched_b]
+                .map(|sched| {
+                    let phase = random_phase(sched.period(), rng);
+                    NodeSpec::always_on(Box::new(ScheduleBehavior::with_phase(
+                        sched.clone(),
+                        phase,
+                    )))
+                })
+                .into()
+        })
+        .map(|report| pair_latency(&report, metric))
+        .collect()
 }
 
-/// Fraction of pair discoveries (over random phases) completing within
-/// `deadline`, among `s` devices all running clones of `schedule` with
-/// random phases — the Appendix B failure-rate experiment.
+/// Fraction of ordered pairs discovering within `deadline` among `s`
+/// devices, over `trials` runs to the horizon rooted at `cfg.seed` — the
+/// Appendix B failure-rate experiment. `device` builds each device's
+/// behaviour, drawing its phase from the set-up stream.
 pub fn group_success_rate(
-    schedule: &Schedule,
     s: usize,
     deadline: Tick,
     cfg: &SimConfig,
     trials: usize,
-    jitter: Option<Tick>,
+    mut device: impl FnMut(&mut StdRng) -> Box<dyn Behavior>,
 ) -> f64 {
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xdead_beef);
-    let mut attempts = 0u64;
-    let mut successes = 0u64;
-    for trial in 0..trials {
-        let mut cfg_t = cfg.clone();
-        cfg_t.seed = cfg.seed.wrapping_add(0x1000 + trial as u64);
-        let mut sim = NetSimulator::new(cfg_t, Topology::full(s));
-        for _ in 0..s {
-            let phase = random_phase(schedule, &mut rng);
-            let base = ScheduleBehavior::with_phase(schedule.clone(), phase);
-            let behavior: Box<dyn Behavior> = match jitter {
-                Some(j) => Box::new(nd_protocols::Jittered::new(base, j)),
-                None => Box::new(base),
-            };
-            sim.add_node(NodeSpec::always_on(behavior));
-        }
-        count_discovered(&sim.run(), deadline, &mut attempts, &mut successes);
-    }
-    successes as f64 / attempts as f64
-}
-
-/// Like [`group_success_rate`], but with an arbitrary behaviour factory:
-/// `make(trial, device)` builds each device's behaviour (drawing its own
-/// randomness from construction parameters if needed).
-pub fn group_success_rate_factory(
-    make: &mut dyn FnMut(usize, usize) -> Box<dyn Behavior>,
-    s: usize,
-    deadline: Tick,
-    cfg: &SimConfig,
-    trials: usize,
-) -> f64 {
-    let mut attempts = 0u64;
-    let mut successes = 0u64;
-    for trial in 0..trials {
-        let mut cfg_t = cfg.clone();
-        cfg_t.seed = cfg.seed.wrapping_add(0x2000 + trial as u64);
-        let mut sim = NetSimulator::new(cfg_t, Topology::full(s));
-        for dev in 0..s {
-            sim.add_node(NodeSpec::always_on(make(trial, dev)));
-        }
-        count_discovered(&sim.run(), deadline, &mut attempts, &mut successes);
-    }
-    successes as f64 / attempts as f64
-}
-
-/// Add a run's ordered pairs to `attempts`, and those discovered by
-/// `deadline` to `successes`.
-fn count_discovered(
-    report: &CohortReport,
-    deadline: Tick,
-    attempts: &mut u64,
-    successes: &mut u64,
-) {
-    let n = report.len();
-    for a in 0..n {
-        for b in (0..n).filter(|&b| b != a) {
-            *attempts += 1;
-            if report
-                .discovery
-                .one_way(a, b)
-                .is_some_and(|t| t <= deadline)
-            {
-                *successes += 1;
-            }
-        }
-    }
-}
-
-fn random_phase(schedule: &Schedule, rng: &mut StdRng) -> Tick {
-    Tick(rng.gen_range(0..schedule.period().as_nanos()))
+    let latencies: Vec<Option<Tick>> = Trials::new(cfg.clone(), false)
+        .run(trials, |rng| {
+            (0..s).map(|_| NodeSpec::always_on(device(rng))).collect()
+        })
+        .flat_map(|report| report.pair_latencies(Metric::OneWay))
+        .collect();
+    let successes = latencies
+        .iter()
+        .filter(|l| l.is_some_and(|t| t <= deadline))
+        .count();
+    successes as f64 / latencies.len() as f64
 }
 
 #[cfg(test)]
@@ -225,7 +225,7 @@ mod tests {
         let horizon = Tick(opt.predicted_latency.as_nanos() * 3);
         let mut cfg = sim_cfg(1);
         cfg.t_end = horizon;
-        let lat = pair_trials(&opt.schedule, &opt.schedule, PairMetric::TwoWay, &cfg, 25);
+        let lat = pair_trials(&opt.schedule, &opt.schedule, Metric::TwoWay, &cfg, 25);
         let summary = LatencySummary::from_latencies(&lat);
         assert_eq!(summary.failures, 0, "deterministic protocol never fails");
         assert!(
@@ -244,14 +244,14 @@ mod tests {
         let one = LatencySummary::from_latencies(&pair_trials(
             &opt.schedule,
             &opt.schedule,
-            PairMetric::EitherWay,
+            Metric::EitherWay,
             &cfg,
             20,
         ));
         let two = LatencySummary::from_latencies(&pair_trials(
             &opt.schedule,
             &opt.schedule,
-            PairMetric::TwoWay,
+            Metric::TwoWay,
             &cfg,
             20,
         ));
@@ -265,7 +265,10 @@ mod tests {
         cfg.collisions = true;
         cfg.half_duplex = true;
         cfg.t_end = Tick(opt.predicted_latency.as_nanos() * 2);
-        let rate = group_success_rate(&opt.schedule, 3, opt.predicted_latency, &cfg, 4, None);
+        let rate = group_success_rate(3, opt.predicted_latency, &cfg, 4, |rng| {
+            let phase = random_phase(opt.schedule.period(), rng);
+            Box::new(ScheduleBehavior::with_phase(opt.schedule.clone(), phase))
+        });
         assert!((0.0..=1.0).contains(&rate));
         assert!(rate > 0.5, "most discoveries succeed, got {rate}");
     }

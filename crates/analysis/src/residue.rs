@@ -20,19 +20,8 @@
 //! profile.
 
 use nd_core::interval::IntervalSet;
-use nd_core::schedule::BeaconSeq;
+use nd_core::schedule::{gcd, BeaconSeq};
 use nd_core::time::Tick;
-
-/// Greatest common divisor of two tick counts in nanoseconds.
-pub fn gcd_ticks(a: Tick, b: Tick) -> Tick {
-    let (mut a, mut b) = (a.as_nanos(), b.as_nanos());
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    Tick(a)
-}
 
 /// The measure of the largest set of offsets the beacon train can ever
 /// cover when expanded against a receiver of period `period_c` whose
@@ -44,7 +33,7 @@ pub fn gcd_ticks(a: Tick, b: Tick) -> Tick {
 /// compute it once per schedule pair and share it across all starting
 /// phases.
 pub fn ultimate_covered_measure(base: &IntervalSet, beacons: &BeaconSeq, period_c: Tick) -> Tick {
-    let d = gcd_ticks(beacons.period(), period_c);
+    let d = Tick(gcd(beacons.period().as_nanos(), period_c.as_nanos()));
     let classes = period_c.as_nanos() / d.as_nanos();
     let mut folded = IntervalSet::empty();
     for &t in beacons.times() {
@@ -111,7 +100,10 @@ mod tests {
         let rx = Disco::new(11, 13, slot, omega).unwrap().schedule().unwrap();
         let b = tx.beacons.as_ref().unwrap();
         let c = rx.windows.as_ref().unwrap();
-        assert_eq!(gcd_ticks(b.period(), c.period()), slot);
+        assert_eq!(
+            gcd(b.period().as_nanos(), c.period().as_nanos()),
+            slot.as_nanos()
+        );
         let ult = ultimate_covered_measure(&offsets(c, &cfg), b, c.period());
         // beacons land densely enough to cover almost everything, but the
         // §3.2 boundary gap survives the fold

@@ -8,13 +8,14 @@
 //! behind Eq. 32).
 
 use crate::table::{pct, secs, Table};
-use nd_analysis::montecarlo::{group_success_rate, group_success_rate_factory};
+use nd_analysis::montecarlo::{group_success_rate, random_phase};
 use nd_core::bounds::redundancy::{plan_for_q, CollisionExponent};
 use nd_core::time::Tick;
 use nd_protocols::optimal::OptimalParams;
 use nd_protocols::redundant::redundant_symmetric;
-use nd_protocols::RoundJittered;
-use nd_sim::SimConfig;
+use nd_protocols::{Jittered, RoundJittered};
+use nd_sim::{ScheduleBehavior, SimConfig};
+use rand::rngs::StdRng;
 
 const ETA: f64 = 0.05;
 const PF: f64 = 0.0005;
@@ -81,12 +82,16 @@ pub fn run() -> String {
     );
 
     // --- Monte-Carlo validation --------------------------------------
-    out.push_str("Simulation: success rate within L' among S = 3 devices (500 ms runs)\n\n");
     let params = OptimalParams::paper_default();
     let proto =
         redundant_symmetric(params, ETA, PF, S, CollisionExponent::SMinusOne).expect("feasible");
     let deadline = proto.predicted_l_prime;
-    let mut cfg = SimConfig::paper_baseline(Tick(deadline.as_nanos() * 2), 99);
+    let horizon = Tick(deadline.as_nanos() * 2);
+    out.push_str(&format!(
+        "Simulation: success rate within L' among S = 3 devices ({} runs)\n\n",
+        secs(horizon.as_secs_f64())
+    ));
+    let mut cfg = SimConfig::paper_baseline(horizon, 99);
     cfg.collisions = true;
     // isolate the collision effect: Appendix B (like all of Section 5)
     // assumes the A.5 self-blocking away — with it on, blanking dominates
@@ -99,25 +104,25 @@ pub fn run() -> String {
         .map(|b| b.mean_gap())
         .unwrap_or(Tick(1));
     let trials = 25;
-    let plain = group_success_rate(&proto.schedule, S as usize, deadline, &cfg, trials, None);
-    let jittered = group_success_rate(
-        &proto.schedule,
-        S as usize,
-        deadline,
-        &cfg,
-        trials,
-        Some(lambda / 2),
-    );
+    let sched = &proto.schedule;
+    let phased = |rng: &mut StdRng| {
+        ScheduleBehavior::with_phase(sched.clone(), random_phase(sched.period(), rng))
+    };
+    let plain = group_success_rate(S as usize, deadline, &cfg, trials, |rng| {
+        Box::new(phased(rng))
+    });
+    let jittered = group_success_rate(S as usize, deadline, &cfg, trials, |rng| {
+        Box::new(Jittered::new(phased(rng), lambda / 2))
+    });
     // round-coherent jitter: the decorrelation that *preserves* coverage
-    let sched = proto.schedule.clone();
-    let round = group_success_rate_factory(
-        &mut |_trial, _dev| Box::new(RoundJittered::new(sched.clone())),
+    let round = group_success_rate(
         S as usize,
         // one extra λ of slack: round shifts can delay a covering beacon
         // by up to λ − ω
         Tick(deadline.as_nanos() + lambda.as_nanos()),
         &cfg,
         trials,
+        |_| Box::new(RoundJittered::new(sched.clone())),
     );
     let mut m = Table::new(&["schedule", "failure rate within L'", "Eq.32 target"]);
     m.row(vec![

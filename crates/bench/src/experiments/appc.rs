@@ -3,8 +3,9 @@
 //! all pairwise deterministic ND.
 
 use crate::table::{factor, pct, secs, Table};
-use nd_analysis::montecarlo::{pair_trials, LatencySummary, PairMetric};
+use nd_analysis::montecarlo::{pair_trials, LatencySummary};
 use nd_core::bounds::{oneway_bound, symmetric_bound};
+use nd_core::metric::Metric;
 use nd_core::time::Tick;
 use nd_protocols::correlated::{correlated_oneway, verify_oneway_determinism};
 use nd_sim::SimConfig;
@@ -55,7 +56,7 @@ pub fn run() -> String {
     let lat = pair_trials(
         &proto.schedule,
         &proto.schedule,
-        PairMetric::EitherWay,
+        Metric::EitherWay,
         &cfg,
         60,
     );

@@ -8,14 +8,13 @@
 //! E[min-direction] + (time to the announced window).
 
 use crate::table::{secs, Table};
-use nd_analysis::montecarlo::LatencySummary;
+use nd_analysis::montecarlo::{pair_latency, random_phase, LatencySummary, Trials};
+use nd_core::metric::Metric;
 use nd_core::time::Tick;
-use nd_netsim::{NetSimulator, NodeSpec};
+use nd_netsim::NodeSpec;
 use nd_protocols::optimal::{symmetric, OptimalParams};
 use nd_protocols::MutualAssist;
-use nd_sim::{ScheduleBehavior, SimConfig, Topology};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use nd_sim::{Behavior, ScheduleBehavior, SimConfig};
 
 fn trial_two_way(
     schedule: &nd_core::Schedule,
@@ -23,36 +22,28 @@ fn trial_two_way(
     trials: usize,
     horizon: Tick,
 ) -> LatencySummary {
-    let mut rng = StdRng::seed_from_u64(0xa551);
+    let mut cfg = SimConfig::paper_baseline(horizon, 0xa551);
+    cfg.collisions = false;
+    cfg.half_duplex = false;
     let period = schedule.windows.as_ref().unwrap().period();
-    let mut lat = Vec::with_capacity(trials);
-    for trial in 0..trials {
-        let phase = Tick(rng.gen_range(0..period.as_nanos()));
-        let mut cfg = SimConfig::paper_baseline(horizon, 400 + trial as u64);
-        cfg.collisions = false;
-        cfg.half_duplex = false;
-        let mut sim = NetSimulator::new(cfg, Topology::full(2));
-        if assist {
-            sim.add_node(NodeSpec::always_on(Box::new(MutualAssist::new(
-                schedule.clone(),
-            ))));
-            sim.add_node(NodeSpec::always_on(Box::new(MutualAssist::with_phase(
-                schedule.clone(),
-                phase,
-            ))));
-        } else {
-            sim.add_node(NodeSpec::always_on(Box::new(ScheduleBehavior::new(
-                schedule.clone(),
-            ))));
-            sim.add_node(NodeSpec::always_on(Box::new(ScheduleBehavior::with_phase(
-                schedule.clone(),
-                phase,
-            ))));
-        }
-        sim.stop_when_all_discovered(true);
-        let report = sim.run();
-        lat.push(report.discovery.two_way(0, 1));
-    }
+    let lat: Vec<Option<Tick>> = Trials::new(cfg, true)
+        .run(trials, |rng| {
+            let phase = random_phase(period, rng);
+            let pair: [Box<dyn Behavior>; 2] = if assist {
+                [
+                    Box::new(MutualAssist::new(schedule.clone())),
+                    Box::new(MutualAssist::with_phase(schedule.clone(), phase)),
+                ]
+            } else {
+                [
+                    Box::new(ScheduleBehavior::new(schedule.clone())),
+                    Box::new(ScheduleBehavior::with_phase(schedule.clone(), phase)),
+                ]
+            };
+            pair.map(NodeSpec::always_on).into()
+        })
+        .map(|report| pair_latency(&report, Metric::TwoWay))
+        .collect();
     LatencySummary::from_latencies(&lat)
 }
 

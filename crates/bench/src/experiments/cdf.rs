@@ -8,8 +8,9 @@
 //! simulated percentiles.
 
 use crate::table::{pct, secs, Table};
-use nd_analysis::montecarlo::{pair_trials, LatencySummary, PairMetric};
+use nd_analysis::montecarlo::{pair_trials, LatencySummary};
 use nd_analysis::{AnalysisConfig, LatencyDistribution};
+use nd_core::metric::Metric;
 use nd_core::time::Tick;
 use nd_protocols::ProtocolKind;
 use nd_sim::SimConfig;
@@ -61,7 +62,7 @@ pub fn run() -> String {
     let mut sim = SimConfig::paper_baseline(Tick(worst.as_nanos() * 2), 21);
     sim.collisions = false;
     sim.half_duplex = false;
-    let lat = pair_trials(&sched, &sched, PairMetric::OneWay, &sim, 400);
+    let lat = pair_trials(&sched, &sched, Metric::OneWay, &sim, 400);
     let s = LatencySummary::from_latencies(&lat);
     out.push_str("\nCross-check (optimal-slotless, 400 random-phase simulations):\n\n");
     let mut v = Table::new(&["quantile", "exact", "simulated"]);

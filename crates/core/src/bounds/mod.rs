@@ -30,6 +30,7 @@ pub mod slotted;
 pub mod symmetric;
 
 use crate::error::NdError;
+use crate::metric::Metric;
 
 pub use asymmetric::{asymmetric_bound, optimal_asymmetric_splits};
 pub use beaconing::{coverage_bound, optimal_reception_period, unidirectional_bound};
@@ -38,31 +39,6 @@ pub use constrained::constrained_bound;
 pub use oneway::oneway_bound;
 pub use redundancy::{optimal_redundancy, CollisionExponent, RedundancyPlan};
 pub use symmetric::{optimal_beta, symmetric_bound};
-
-/// The discovery-completion metric a bound refers to (mirrors the sweep
-/// grammar's `metric` values; see [`BoundMetric::from_name`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BoundMetric {
-    /// One fixed direction completes (F discovers E).
-    OneWay,
-    /// Both directions complete (Theorem 5.5 metric).
-    TwoWay,
-    /// Either direction completes (Appendix C metric).
-    EitherWay,
-}
-
-impl BoundMetric {
-    /// Parse the sweep-grammar spelling (`one-way` | `two-way` |
-    /// `either-way`).
-    pub fn from_name(name: &str) -> Option<BoundMetric> {
-        match name {
-            "one-way" => Some(BoundMetric::OneWay),
-            "two-way" => Some(BoundMetric::TwoWay),
-            "either-way" => Some(BoundMetric::EitherWay),
-            _ => None,
-        }
-    }
-}
 
 /// The paper's closed-form optimal worst-case latency (seconds) for
 /// *symmetric* protocols in which each device spends a total duty cycle η,
@@ -81,7 +57,7 @@ impl BoundMetric {
 /// Errors on non-positive or non-finite parameters instead of panicking,
 /// so sweep/optimizer rows degrade gracefully.
 pub fn optimal_discovery_bound(
-    metric: BoundMetric,
+    metric: Metric,
     alpha: f64,
     omega_secs: f64,
     eta: f64,
@@ -94,8 +70,8 @@ pub fn optimal_discovery_bound(
         }
     }
     Ok(match metric {
-        BoundMetric::OneWay | BoundMetric::TwoWay => symmetric_bound(alpha, omega_secs, eta),
-        BoundMetric::EitherWay => oneway_bound(alpha, omega_secs, eta),
+        Metric::OneWay | Metric::TwoWay => symmetric_bound(alpha, omega_secs, eta),
+        Metric::EitherWay => oneway_bound(alpha, omega_secs, eta),
     })
 }
 
@@ -106,10 +82,10 @@ mod tests {
     #[test]
     fn bound_helper_matches_the_underlying_theorems() {
         let b = |m| optimal_discovery_bound(m, 1.0, 36e-6, 0.05).unwrap();
-        assert_eq!(b(BoundMetric::TwoWay), symmetric_bound(1.0, 36e-6, 0.05));
-        assert_eq!(b(BoundMetric::OneWay), symmetric_bound(1.0, 36e-6, 0.05));
-        assert_eq!(b(BoundMetric::EitherWay), oneway_bound(1.0, 36e-6, 0.05));
-        assert!((b(BoundMetric::TwoWay) - 0.0576).abs() < 1e-9);
+        assert_eq!(b(Metric::TwoWay), symmetric_bound(1.0, 36e-6, 0.05));
+        assert_eq!(b(Metric::OneWay), symmetric_bound(1.0, 36e-6, 0.05));
+        assert_eq!(b(Metric::EitherWay), oneway_bound(1.0, 36e-6, 0.05));
+        assert!((b(Metric::TwoWay) - 0.0576).abs() < 1e-9);
     }
 
     #[test]
@@ -120,19 +96,7 @@ mod tests {
             (1.0, 36e-6, 0.0),
             (1.0, f64::NAN, 0.05),
         ] {
-            assert!(optimal_discovery_bound(BoundMetric::TwoWay, alpha, omega, eta).is_err());
+            assert!(optimal_discovery_bound(Metric::TwoWay, alpha, omega, eta).is_err());
         }
-    }
-
-    #[test]
-    fn metric_names_roundtrip() {
-        for (name, m) in [
-            ("one-way", BoundMetric::OneWay),
-            ("two-way", BoundMetric::TwoWay),
-            ("either-way", BoundMetric::EitherWay),
-        ] {
-            assert_eq!(BoundMetric::from_name(name), Some(m));
-        }
-        assert_eq!(BoundMetric::from_name("sideways"), None);
     }
 }

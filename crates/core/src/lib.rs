@@ -46,6 +46,7 @@ pub mod bounds;
 pub mod coverage;
 pub mod error;
 pub mod interval;
+pub mod metric;
 pub mod params;
 pub mod schedule;
 pub mod seed;
@@ -55,6 +56,7 @@ pub mod time;
 pub use coverage::{min_beacons, CoverageMap, FirstHitProfile, OverlapModel};
 pub use error::NdError;
 pub use interval::{Interval, IntervalSet};
+pub use metric::Metric;
 pub use params::{DutyCycle, RadioParams};
 pub use schedule::{BeaconSeq, ReceptionWindows, Schedule, Window};
 pub use stable::StableEncode;

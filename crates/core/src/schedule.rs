@@ -478,7 +478,7 @@ pub(crate) fn lcm(a: u64, b: u64) -> u64 {
 }
 
 /// Greatest common divisor.
-pub(crate) fn gcd(mut a: u64, mut b: u64) -> u64 {
+pub fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         let t = a % b;
         a = b;

@@ -2,9 +2,10 @@
 //!
 //! Several subsystems need many *statistically independent* RNG streams
 //! fanned out from one 64-bit root: `nd-netsim` derives one stream per
-//! node from the run seed, and `nd-sweep` derives one stream per
-//! Monte-Carlo trial from the job's content-hash seed. Both used to carry
-//! private copies of the same mixing code; this module is now the only
+//! node from the run seed, and the one Monte-Carlo trial runner
+//! (`nd_analysis::Trials`) derives one channel seed per trial from its
+//! campaign's root: a sweep job's content-hash seed, or the configured
+//! seed of a pair or group campaign. This module is the only
 //! implementation, and its outputs feed content-addressed caches — so the
 //! functions here are **frozen**: changing any constant silently
 //! invalidates reproducibility guarantees and must be accompanied by an
@@ -35,7 +36,7 @@ pub fn splitmix64(mut x: u64) -> u64 {
 /// `index → seed` is injective.
 ///
 /// Used for per-node streams (`nd-netsim`, index = node id) and per-trial
-/// streams (`nd-sweep`, index = trial number).
+/// channel seeds (`nd_analysis::Trials`, index = trial number).
 pub fn stream_seed(root: u64, index: u64) -> u64 {
     splitmix64(root ^ index.wrapping_mul(0xa076_1d64_78bd_642f))
 }

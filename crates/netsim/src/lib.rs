@@ -41,6 +41,6 @@ pub mod shard;
 
 pub use churn::ChurnPlan;
 pub use engine::NetSimulator;
-pub use metrics::{CohortReport, PairMetric};
+pub use metrics::CohortReport;
 pub use node::NodeSpec;
 pub use shard::{run_sharded, run_sharded_collect, ShardedReport};

@@ -16,21 +16,10 @@
 //!   worst eligible pair's latency.
 
 use nd_core::interval::Interval;
+use nd_core::metric::Metric;
 use nd_core::params::RadioParams;
 use nd_core::time::Tick;
 use nd_sim::{DeviceStats, DiscoveryMatrix, PacketCounters};
-
-/// Which direction(s) of an eligible pair must complete.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PairMetric {
-    /// Every ordered pair counts separately (receiver discovers sender).
-    OneWay,
-    /// An unordered pair completes when both directions have (the paper's
-    /// Theorem 5.5/5.7 metric, lifted to N nodes).
-    TwoWay,
-    /// An unordered pair completes when either direction has.
-    EitherWay,
-}
 
 /// The full result of one cohort run.
 #[derive(Clone, Debug)]
@@ -89,7 +78,7 @@ impl CohortReport {
     /// co-presence start; `None` for eligible pairs that never completed.
     /// `OneWay` yields up to `n·(n−1)` entries (ordered), the others up to
     /// `n·(n−1)/2` (unordered).
-    pub fn pair_latencies(&self, metric: PairMetric) -> Vec<Option<Tick>> {
+    pub fn pair_latencies(&self, metric: Metric) -> Vec<Option<Tick>> {
         self.pair_latency_entries(metric)
             .into_iter()
             .map(|(_, _, lat)| lat)
@@ -100,7 +89,7 @@ impl CohortReport {
     /// `(a, b, latency)` per eligible pair. Mixed-role cohorts use this
     /// to split the distribution by pair class (cross-role vs.
     /// same-role).
-    pub fn pair_latency_entries(&self, metric: PairMetric) -> Vec<(usize, usize, Option<Tick>)> {
+    pub fn pair_latency_entries(&self, metric: Metric) -> Vec<(usize, usize, Option<Tick>)> {
         let n = self.len();
         let mut out = Vec::new();
         for a in 0..n {
@@ -108,7 +97,7 @@ impl CohortReport {
                 if a == b {
                     continue;
                 }
-                if metric != PairMetric::OneWay && a > b {
+                if metric != Metric::OneWay && a > b {
                     continue; // unordered metrics visit each pair once
                 }
                 if self.cluster[a] != self.cluster[b] {
@@ -118,8 +107,8 @@ impl CohortReport {
                     continue;
                 };
                 let lat = match metric {
-                    PairMetric::OneWay => self.ordered_latency(a, b, window.start),
-                    PairMetric::TwoWay => {
+                    Metric::OneWay => self.ordered_latency(a, b, window.start),
+                    Metric::TwoWay => {
                         match (
                             self.ordered_latency(a, b, window.start),
                             self.ordered_latency(b, a, window.start),
@@ -128,7 +117,7 @@ impl CohortReport {
                             _ => None,
                         }
                     }
-                    PairMetric::EitherWay => {
+                    Metric::EitherWay => {
                         match (
                             self.ordered_latency(a, b, window.start),
                             self.ordered_latency(b, a, window.start),
@@ -169,34 +158,6 @@ impl CohortReport {
             }
         }
         out
-    }
-
-    /// `true` when every eligible pair completed under `metric`.
-    pub fn complete(&self, metric: PairMetric) -> bool {
-        self.pair_latencies(metric).iter().all(|l| l.is_some())
-    }
-
-    /// The worst eligible pair latency (the full-cohort discovery time),
-    /// `None` unless the cohort is complete.
-    pub fn worst_pair(&self, metric: PairMetric) -> Option<Tick> {
-        let lats = self.pair_latencies(metric);
-        if lats.is_empty() {
-            return None;
-        }
-        lats.into_iter()
-            .collect::<Option<Vec<_>>>()?
-            .into_iter()
-            .max()
-    }
-
-    /// Fraction of eligible pairs that completed (1.0 for an empty set:
-    /// nothing was possible, nothing was missed).
-    pub fn discovered_fraction(&self, metric: PairMetric) -> f64 {
-        let lats = self.pair_latencies(metric);
-        if lats.is_empty() {
-            return 1.0;
-        }
-        lats.iter().filter(|l| l.is_some()).count() as f64 / lats.len() as f64
     }
 
     /// Sum of per-node measured duty cycles (each node over its own
@@ -267,13 +228,13 @@ mod tests {
         r.leaves[2] = None;
         assert_eq!(r.copresence(0, 2), None);
         // only the ordered pairs among {0, 1} remain
-        assert_eq!(r.pair_latencies(PairMetric::OneWay).len(), 2);
+        assert_eq!(r.pair_latencies(Metric::OneWay).len(), 2);
     }
 
     #[test]
     fn one_way_latencies_are_relative_to_copresence() {
         let r = report();
-        let lats = r.pair_latencies(PairMetric::OneWay);
+        let lats = r.pair_latencies(Metric::OneWay);
         // ordered eligible pairs: (0,1) (0,2) (1,0) (1,2) (2,0) (2,1)
         assert_eq!(lats.len(), 6);
         assert!(lats.contains(&Some(Tick(50)))); // 0 heard 1 at 50
@@ -284,11 +245,11 @@ mod tests {
     #[test]
     fn two_way_and_either_way() {
         let r = report();
-        let two = r.pair_latencies(PairMetric::TwoWay);
+        let two = r.pair_latencies(Metric::TwoWay);
         assert_eq!(two.len(), 3);
         assert!(two.contains(&Some(Tick(200)))); // pair {0,1}: max(50, 200)
         assert_eq!(two.iter().filter(|l| l.is_none()).count(), 2);
-        let either = r.pair_latencies(PairMetric::EitherWay);
+        let either = r.pair_latencies(Metric::EitherWay);
         assert!(either.contains(&Some(Tick(50)))); // pair {0,1}: min
         assert!(either.contains(&Some(Tick(200)))); // pair {0,2}: 300 − 100
         assert_eq!(either.iter().filter(|l| l.is_none()).count(), 1);
@@ -313,30 +274,13 @@ mod tests {
     #[test]
     fn pair_entries_carry_identities() {
         let r = report();
-        let entries = r.pair_latency_entries(PairMetric::TwoWay);
+        let entries = r.pair_latency_entries(Metric::TwoWay);
         assert_eq!(entries.len(), 3);
         assert!(entries.contains(&(0, 1, Some(Tick(200)))));
         // latencies-only view is the same data
         assert_eq!(
             entries.iter().map(|&(_, _, l)| l).collect::<Vec<_>>(),
-            r.pair_latencies(PairMetric::TwoWay)
+            r.pair_latencies(Metric::TwoWay)
         );
-    }
-
-    #[test]
-    fn completion_and_worst_pair() {
-        let r = report();
-        assert!(!r.complete(PairMetric::OneWay));
-        assert_eq!(r.worst_pair(PairMetric::OneWay), None);
-        assert!((r.discovered_fraction(PairMetric::OneWay) - 0.5).abs() < 1e-12);
-        // pair {1, 2} has nothing in either direction yet
-        assert!(!r.complete(PairMetric::EitherWay));
-        assert!((r.discovered_fraction(PairMetric::EitherWay) - 2.0 / 3.0).abs() < 1e-12);
-        // one reception on that pair completes the either-way cohort
-        let mut done = r.clone();
-        done.discovery.record(1, 2, Tick(400));
-        assert!(done.complete(PairMetric::EitherWay));
-        // worst pair: {1, 2} at 400 − copresence start 100 = 300
-        assert_eq!(done.worst_pair(PairMetric::EitherWay), Some(Tick(300)));
     }
 }

@@ -8,7 +8,7 @@
 //! ```
 
 use nd_opt::{run_opt, Objective, OptOptions, OptOutcome, OptSpec};
-use nd_sweep::spec::{Backend, Metric};
+use nd_sweep::spec::{parse_metric, Backend, Metric};
 use nd_sweep::{ScenarioSpec, ENGINE_VERSION};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -160,22 +160,8 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         match arg.as_str() {
             "--spec" => spec_path = Some(PathBuf::from(value("--spec")?)),
             "--protocol" => protocols.push(value("--protocol")?.to_string()),
-            "--backend" => {
-                backend = Some(match value("--backend")? {
-                    "exact" => Backend::Exact,
-                    "montecarlo" => Backend::MonteCarlo,
-                    "netsim" => Backend::Netsim,
-                    other => return Err(format!("unknown backend `{other}`")),
-                })
-            }
-            "--metric" => {
-                metric = Some(match value("--metric")? {
-                    "one-way" => Metric::OneWay,
-                    "two-way" => Metric::TwoWay,
-                    "either-way" => Metric::EitherWay,
-                    other => return Err(format!("unknown metric `{other}`")),
-                })
-            }
+            "--backend" => backend = Some(Backend::parse(value("--backend")?).map_err(|e| e.0)?),
+            "--metric" => metric = Some(parse_metric(value("--metric")?).map_err(|e| e.0)?),
             "--objective" => {
                 objective =
                     Some(Objective::parse(value("--objective")?).map_err(|e| e.to_string())?)

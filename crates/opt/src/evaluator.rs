@@ -67,8 +67,6 @@ pub struct Evaluation {
     pub latency_s: f64,
     /// Every metric the backend produced.
     pub metrics: BTreeMap<String, f64>,
-    /// Whether this evaluation was served from the result cache.
-    pub from_cache: bool,
 }
 
 /// A latency evaluator for candidates of one search: a configured
@@ -160,7 +158,6 @@ impl Evaluator {
         &self,
         cand: &Candidate,
         metrics: BTreeMap<String, f64>,
-        from_cache: bool,
     ) -> Result<Evaluation, String> {
         // probability mass that never discovers censors the latency
         // statistic: the worst case is then unknown (≥ horizon), and a
@@ -224,7 +221,6 @@ impl Evaluator {
             duty_cycle_b: dc_b,
             latency_s,
             metrics,
-            from_cache,
         })
     }
 
@@ -334,7 +330,7 @@ mod tests {
         assert_eq!(ev.latency_metric(), "two_way_worst_s");
         let c = cand(0.05);
         let metrics = ev.run(&c).unwrap();
-        let e = ev.interpret(&c, metrics, false).unwrap();
+        let e = ev.interpret(&c, metrics).unwrap();
         let bound = nd_core::bounds::symmetric_bound(1.0, 36e-6, 0.05);
         assert!(
             (e.latency_s - bound).abs() / bound < 0.02,
@@ -342,7 +338,6 @@ mod tests {
             e.latency_s
         );
         assert!((e.duty_cycle - 0.05).abs() < 0.003, "{}", e.duty_cycle);
-        assert!(!e.from_cache);
     }
 
     #[test]
@@ -372,16 +367,10 @@ mod tests {
         let mut metrics = BTreeMap::new();
         metrics.insert("failure_rate".to_string(), 0.25);
         metrics.insert("two_way_worst_s".to_string(), 1.0);
-        assert!(ev
-            .interpret(&c, metrics, false)
-            .unwrap_err()
-            .contains("failed"));
+        assert!(ev.interpret(&c, metrics).unwrap_err().contains("failed"));
         let mut metrics = BTreeMap::new();
         metrics.insert("pair_discovered_frac".to_string(), 0.9);
-        assert!(ev
-            .interpret(&c, metrics, false)
-            .unwrap_err()
-            .contains("pairs"));
+        assert!(ev.interpret(&c, metrics).unwrap_err().contains("pairs"));
     }
 
     #[test]
@@ -399,7 +388,7 @@ mod tests {
             slot_us_b: None,
         };
         let metrics = ev.run(&c).unwrap();
-        let e = ev.interpret(&c, metrics, false).unwrap();
+        let e = ev.interpret(&c, metrics).unwrap();
         // the x-axis is the total budget, with role B's share attached
         assert!((e.duty_cycle - 0.10).abs() < 0.005, "{}", e.duty_cycle);
         let dc_b = e.duty_cycle_b.unwrap();
@@ -450,7 +439,7 @@ mod tests {
         doctored.insert("pair_discovered_frac".to_string(), 0.5);
         doctored.insert("cross_discovered_frac".to_string(), 1.0);
         doctored.insert("cross_max_s".to_string(), 1.0);
-        assert!(ev.interpret(&c, doctored, false).is_ok());
+        assert!(ev.interpret(&c, doctored).is_ok());
     }
 
     #[test]

@@ -32,7 +32,7 @@
 use crate::evaluator::{evaluator_for, screening_evaluator, Candidate, Evaluation, Evaluator};
 use crate::pareto::{front_indices, hypervolume};
 use crate::spec::OptSpec;
-use nd_core::bounds::{optimal_discovery_bound, BoundMetric};
+use nd_core::bounds::optimal_discovery_bound;
 use nd_protocols::{ParamSpace, ProtocolKind};
 use nd_sweep::cache::{CachedResult, ResultCache};
 use nd_sweep::pool::{default_threads, run_parallel};
@@ -576,8 +576,6 @@ fn front_for_protocol(
     // achieved duty cycle for symmetric searches, Theorem 5.7 at the
     // achieved (η_E, η_F) for pair searches
     let objs: Vec<(f64, f64)> = evals.iter().map(|e| (e.duty_cycle, e.latency_s)).collect();
-    let bound_metric = BoundMetric::from_name(spec.base.metric.name())
-        .expect("sweep metrics and bound metrics share spellings");
     let alpha = spec.base.radio.alpha;
     let omega_secs = omega.as_secs_f64();
     let front = front_indices(&objs)
@@ -593,7 +591,7 @@ fn front_for_protocol(
                         f64::NAN
                     }
                 }
-                None => optimal_discovery_bound(bound_metric, alpha, omega_secs, e.duty_cycle)
+                None => optimal_discovery_bound(spec.base.metric, alpha, omega_secs, e.duty_cycle)
                     .map_or(f64::NAN, |b| b),
             };
             FrontPoint {
@@ -650,7 +648,7 @@ fn evaluate_one(
             Ok(Some(hit)) => {
                 let result = match hit.error {
                     Some(e) => Err(e),
-                    None => evaluator.interpret(cand, hit.metrics, true),
+                    None => evaluator.interpret(cand, hit.metrics),
                 };
                 return (result, true);
             }
@@ -678,7 +676,7 @@ fn evaluate_one(
         c.store(&key, &entry);
     }
     (
-        raw.and_then(|metrics| evaluator.interpret(cand, metrics, false)),
+        raw.and_then(|metrics| evaluator.interpret(cand, metrics)),
         false,
     )
 }

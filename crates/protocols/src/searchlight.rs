@@ -11,7 +11,7 @@
 
 use crate::slotted::{BeaconPlacement, SlottedSchedule};
 use nd_core::error::NdError;
-use nd_core::schedule::Schedule;
+use nd_core::schedule::{gcd, Schedule};
 use nd_core::time::Tick;
 
 /// A Searchlight node configuration.
@@ -161,15 +161,6 @@ impl Searchlight {
         )?;
         Ok(Schedule::full(beacons, windows))
     }
-}
-
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        let r = a % b;
-        a = b;
-        b = r;
-    }
-    a
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@ use crate::grid::{expand, Job};
 use crate::pool::{default_threads, run_parallel};
 use crate::spec::{Backend, Deadline, Horizon, Metric, ScenarioSpec};
 use crate::value::Value;
+use nd_analysis::montecarlo::{pair_latency, random_phase, Trials};
 use nd_analysis::{
     two_way_from, two_way_worst_case, AnalysisConfig, FirstHitError, FirstHits,
     LatencyDistribution, LatencySummary,
@@ -20,8 +21,8 @@ use nd_core::bounds::asymmetric::{asymmetry_penalty, product_vs_joint_budget};
 use nd_core::error::NdError;
 use nd_core::schedule::Schedule;
 use nd_core::time::Tick;
-use nd_netsim::{ChurnPlan, NetSimulator, NodeSpec, PairMetric};
-use nd_sim::{Behavior, Drifting, ScheduleBehavior, Topology};
+use nd_netsim::{ChurnPlan, NodeSpec};
+use nd_sim::{Behavior, Drifting, ScheduleBehavior};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -455,61 +456,55 @@ fn resolve_horizon(
 
 fn exec_montecarlo(job: &Job, spec: &ScenarioSpec) -> Result<BTreeMap<String, f64>, String> {
     let (sched_a, sched_b) = build_role_schedules(job, spec)?;
-    let job_seed = job.seed(spec);
     let (predicted, horizon, deadline) = resolve_horizon(&[(&sched_a, &sched_b)], spec)?;
 
-    let base_cfg = job.base_sim_config(spec);
-    let radio = base_cfg.radio;
+    let mut cfg = job.base_sim_config(spec);
+    cfg.t_end = horizon;
+    cfg.seed = job.seed(spec);
+    let radio = cfg.radio;
 
-    let period_a = sched_a.period();
-    let period_b = sched_b.period();
-    let mut rng = StdRng::seed_from_u64(job_seed);
-    let mut latencies: Vec<Option<Tick>> = Vec::with_capacity(spec.sim.trials);
     let mut eta_acc = 0.0;
     let mut eta_b_acc = 0.0;
     let mut energy_acc = 0.0;
     let mut energy_b_acc = 0.0;
     let mut collision_acc = 0.0;
 
-    for trial in 0..spec.sim.trials {
-        let mut cfg = base_cfg.clone();
-        cfg.t_end = horizon;
-        cfg.seed = nd_core::seed::stream_seed(job_seed, trial as u64);
+    let nodes = |rng: &mut StdRng| {
         let (phase_a, phase_b) = match job.phase {
             Some(p) => (Tick::ZERO, p),
             None => (
-                random_phase(period_a, &mut rng),
-                random_phase(period_b, &mut rng),
+                random_phase(sched_a.period(), rng),
+                random_phase(sched_b.period(), rng),
             ),
         };
-        let mut sim = NetSimulator::new(cfg, Topology::full(2));
-        for (sched, phase, ppm) in [(&sched_a, phase_a, 0), (&sched_b, phase_b, job.drift_ppm)] {
-            let behavior = ScheduleBehavior::with_phase(sched.clone(), phase);
-            // at 0 ppm the wrapper maps every instant to itself
-            let behavior: Box<dyn Behavior> = if ppm == 0 {
-                Box::new(behavior)
-            } else {
-                Box::new(Drifting::ppm(behavior, ppm))
-            };
-            sim.add_node(NodeSpec::always_on(behavior));
-        }
-        sim.stop_when_all_discovered(spec.metric == Metric::TwoWay);
-        let report = sim.run();
-        latencies.push(match spec.metric {
-            Metric::OneWay => report.discovery.one_way(1, 0),
-            Metric::EitherWay => report.discovery.either_way(0, 1),
-            Metric::TwoWay => report.discovery.two_way(0, 1),
-        });
-        let elapsed = report.elapsed.max(Tick(1));
-        eta_acc += report.stats[0].eta_with_overheads(elapsed, &radio);
-        energy_acc += report.stats[0].energy_joules(&radio, spec.radio.prx_mw * 1e-3);
-        if job.has_role_b() {
-            // only role-typed jobs report per-role columns
-            eta_b_acc += report.stats[1].eta_with_overheads(elapsed, &radio);
-            energy_b_acc += report.stats[1].energy_joules(&radio, spec.radio.prx_mw * 1e-3);
-        }
-        collision_acc += report.packets.collision_rate();
-    }
+        [(&sched_a, phase_a, 0), (&sched_b, phase_b, job.drift_ppm)]
+            .map(|(sched, phase, ppm)| {
+                let behavior = ScheduleBehavior::with_phase(sched.clone(), phase);
+                // at 0 ppm the wrapper maps every instant to itself
+                let behavior: Box<dyn Behavior> = if ppm == 0 {
+                    Box::new(behavior)
+                } else {
+                    Box::new(Drifting::ppm(behavior, ppm))
+                };
+                NodeSpec::always_on(behavior)
+            })
+            .into()
+    };
+    let latencies: Vec<Option<Tick>> = Trials::new(cfg, spec.metric == Metric::TwoWay)
+        .run(spec.sim.trials, nodes)
+        .map(|report| {
+            let elapsed = report.elapsed.max(Tick(1));
+            eta_acc += report.stats[0].eta_with_overheads(elapsed, &radio);
+            energy_acc += report.stats[0].energy_joules(&radio, spec.radio.prx_mw * 1e-3);
+            if job.has_role_b() {
+                // only role-typed jobs report per-role columns
+                eta_b_acc += report.stats[1].eta_with_overheads(elapsed, &radio);
+                energy_b_acc += report.stats[1].energy_joules(&radio, spec.radio.prx_mw * 1e-3);
+            }
+            collision_acc += report.packets.collision_rate();
+            pair_latency(&report, spec.metric)
+        })
+        .collect();
 
     let summary = LatencySummary::from_latencies(&latencies);
     let trials = spec.sim.trials.max(1) as f64;
@@ -573,17 +568,11 @@ fn exec_netsim(job: &Job, spec: &ScenarioSpec) -> Result<BTreeMap<String, f64>, 
         }
     }
     let (predicted, horizon, deadline) = resolve_horizon(&classes, spec)?;
-    let base_cfg = job.base_sim_config(spec);
-    let radio = base_cfg.radio;
-    let period_a = sched_a.period();
-    let period_b = sched_b.period();
-    let metric = match spec.metric {
-        Metric::OneWay => PairMetric::OneWay,
-        Metric::TwoWay => PairMetric::TwoWay,
-        Metric::EitherWay => PairMetric::EitherWay,
-    };
+    let mut cfg = job.base_sim_config(spec);
+    cfg.t_end = horizon;
+    cfg.seed = job_seed;
+    let radio = cfg.radio;
 
-    let mut rng = StdRng::seed_from_u64(job_seed ^ 0xd6e8_feb8_6659_fd93);
     let mut pair_latencies: Vec<Option<Tick>> = Vec::new();
     let mut cross_latencies: Vec<Option<Tick>> = Vec::new();
     let mut first_contacts: Vec<Option<Tick>> = Vec::new();
@@ -593,37 +582,35 @@ fn exec_netsim(job: &Job, spec: &ScenarioSpec) -> Result<BTreeMap<String, f64>, 
     let mut eta_acc = 0.0;
     let mut collision_acc = 0.0;
 
-    for trial in 0..spec.sim.trials {
-        let mut cfg = base_cfg.clone();
-        cfg.t_end = horizon;
-        cfg.seed = nd_core::seed::stream_seed(job_seed, trial as u64);
+    let mut trials = Trials::new(cfg, true);
+    // the one set-up stream not seeded with the root itself: seeding it so
+    // would move every netsim row and cached entry
+    trials.rng = StdRng::seed_from_u64(job_seed ^ 0xd6e8_feb8_6659_fd93);
+    let nodes = |rng: &mut StdRng| {
         let plan = if job.churn > 0.0 {
-            ChurnPlan::staggered(n, job.churn, horizon, &mut rng)
+            ChurnPlan::staggered(n, job.churn, horizon, rng)
         } else {
             ChurnPlan::stable(n)
         };
-        let mut sim = NetSimulator::new(cfg, Topology::full(n));
-        for i in 0..n {
-            let (sched, period) = if is_role_b(i) {
-                (&sched_b, period_b)
-            } else {
-                (&sched_a, period_a)
-            };
-            let phase = random_phase(period, &mut rng);
-            let behavior = ScheduleBehavior::with_phase(sched.clone(), phase);
-            let behavior: Box<dyn Behavior> = if job.drift_ppm == 0 {
-                Box::new(behavior)
-            } else {
-                // every node drifts independently within ±drift_ppm
-                let span = job.drift_ppm.unsigned_abs() as i64 * 1000;
-                let ppb = rng.gen_range(-span..=span);
-                Box::new(Drifting::new(behavior, ppb))
-            };
-            sim.add_node(NodeSpec::windowed(behavior, plan.joins[i], plan.leaves[i]));
-        }
-        sim.stop_when_all_discovered(true);
-        let report = sim.run();
-        let entries = report.pair_latency_entries(metric);
+        (0..n)
+            .map(|i| {
+                let sched = if is_role_b(i) { &sched_b } else { &sched_a };
+                let phase = random_phase(sched.period(), rng);
+                let behavior = ScheduleBehavior::with_phase(sched.clone(), phase);
+                let behavior: Box<dyn Behavior> = if job.drift_ppm == 0 {
+                    Box::new(behavior)
+                } else {
+                    // every node drifts independently within ±drift_ppm
+                    let span = job.drift_ppm.unsigned_abs() as i64 * 1000;
+                    let ppb = rng.gen_range(-span..=span);
+                    Box::new(Drifting::new(behavior, ppb))
+                };
+                NodeSpec::windowed(behavior, plan.joins[i], plan.leaves[i])
+            })
+            .collect()
+    };
+    for report in trials.run(spec.sim.trials, nodes) {
+        let entries = report.pair_latency_entries(spec.metric);
         let lats: Vec<Option<Tick>> = entries.iter().map(|&(_, _, l)| l).collect();
         if lats.is_empty() {
             discovered_acc += 1.0; // nothing was possible, nothing was missed
@@ -714,12 +701,6 @@ fn exec_netsim(job: &Job, spec: &ScenarioSpec) -> Result<BTreeMap<String, f64>, 
         m.insert("predicted_s".to_string(), p.as_secs_f64());
     }
     Ok(m)
-}
-
-/// A uniform initial phase in `[0, period)` (`period` is a
-/// [`Schedule::period`], at least 1 ns).
-fn random_phase(period: Tick, rng: &mut StdRng) -> Tick {
-    Tick(rng.gen_range(0..period.as_nanos()))
 }
 
 #[cfg(test)]

@@ -84,7 +84,8 @@ pub enum Backend {
 }
 
 impl Backend {
-    fn parse(s: &str) -> Result<Self, SpecError> {
+    /// Parse a `backend` spelling, naming the valid ones on error.
+    pub fn parse(s: &str) -> Result<Self, SpecError> {
         match s {
             "exact" => Ok(Backend::Exact),
             "montecarlo" => Ok(Backend::MonteCarlo),
@@ -113,37 +114,16 @@ impl Backend {
     }
 }
 
-/// Which discovery completion a job evaluates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Metric {
-    /// Device 1 discovers device 0.
-    OneWay,
-    /// Both directions complete (Theorem 5.5/5.7 metric).
-    TwoWay,
-    /// Either direction completes (Appendix C metric).
-    EitherWay,
-}
+/// Which discovery completion a job evaluates (the spec's `metric` key).
+pub use nd_core::Metric;
 
-impl Metric {
-    fn parse(s: &str) -> Result<Self, SpecError> {
-        match s {
-            "one-way" => Ok(Metric::OneWay),
-            "two-way" => Ok(Metric::TwoWay),
-            "either-way" => Ok(Metric::EitherWay),
-            other => invalid(format!(
-                "unknown metric `{other}` (expected one-way|two-way|either-way)"
-            )),
-        }
-    }
-
-    /// The spec spelling.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Metric::OneWay => "one-way",
-            Metric::TwoWay => "two-way",
-            Metric::EitherWay => "either-way",
-        }
-    }
+/// Parse a `metric` spelling, naming the valid ones on error.
+pub fn parse_metric(s: &str) -> Result<Metric, SpecError> {
+    Metric::from_name(s).ok_or_else(|| {
+        SpecError(format!(
+            "unknown metric `{s}` (expected one-way|two-way|either-way)"
+        ))
+    })
 }
 
 /// Radio model shared by every job of the sweep.
@@ -383,7 +363,7 @@ impl ScenarioSpec {
             None => Backend::Exact,
         };
         let metric = match top.get("metric") {
-            Some(v) => Metric::parse(req_str(v, "metric")?)?,
+            Some(v) => parse_metric(req_str(v, "metric")?)?,
             None => Metric::OneWay,
         };
         let overlap = match top.get("overlap") {

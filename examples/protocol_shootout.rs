@@ -11,10 +11,10 @@
 //! the paper's Section 6 classification plus a randomized simulation
 //! sanity check of the winner.
 
-use optimal_nd::analysis::montecarlo::{pair_trials, LatencySummary, PairMetric};
+use optimal_nd::analysis::montecarlo::{pair_trials, LatencySummary};
 use optimal_nd::analysis::{one_way_coverage, AnalysisConfig};
 use optimal_nd::core::bounds::symmetric_bound;
-use optimal_nd::core::Tick;
+use optimal_nd::core::{Metric, Tick};
 use optimal_nd::protocols::ProtocolKind;
 use optimal_nd::sim::SimConfig;
 
@@ -75,7 +75,7 @@ fn main() {
         let mut sim = SimConfig::paper_baseline(Tick(worst.as_nanos() * 3), 5);
         sim.collisions = false;
         sim.half_duplex = false;
-        let lat = pair_trials(&sched, &sched, PairMetric::OneWay, &sim, 100);
+        let lat = pair_trials(&sched, &sched, Metric::OneWay, &sim, 100);
         let s = LatencySummary::from_latencies(&lat);
         println!(
             "\noptimal-slotless over 100 random phases: p50 {:.1} ms, p95 {:.1} ms, \

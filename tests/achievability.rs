@@ -5,10 +5,10 @@
 //! exact verification from `nd-analysis`, bounds from `nd-core`, and a
 //! simulation spot-check through `nd-sim`.
 
-use optimal_nd::analysis::montecarlo::{pair_trials, LatencySummary, PairMetric};
+use optimal_nd::analysis::montecarlo::{pair_trials, LatencySummary};
 use optimal_nd::analysis::{one_way_worst_case, two_way_worst_case, AnalysisConfig};
 use optimal_nd::core::bounds;
-use optimal_nd::core::Tick;
+use optimal_nd::core::{Metric, Tick};
 use optimal_nd::protocols::correlated::{correlated_oneway, verify_oneway_determinism};
 use optimal_nd::protocols::optimal::{self, OptimalParams};
 use optimal_nd::sim::SimConfig;
@@ -131,7 +131,7 @@ fn simulated_trials_never_exceed_worst_case() {
     let mut sim = SimConfig::paper_baseline(Tick(exact.as_nanos() * 2), 3);
     sim.collisions = false; // paper's pair-analysis assumptions (A.5)
     sim.half_duplex = false;
-    let lat = pair_trials(&opt.schedule, &opt.schedule, PairMetric::TwoWay, &sim, 40);
+    let lat = pair_trials(&opt.schedule, &opt.schedule, Metric::TwoWay, &sim, 40);
     let s = LatencySummary::from_latencies(&lat);
     assert_eq!(s.failures, 0);
     assert!(

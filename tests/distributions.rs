@@ -1,9 +1,9 @@
 //! Integration: exact latency distributions vs. Monte-Carlo simulation,
 //! and energy accounting across the stack.
 
-use optimal_nd::analysis::montecarlo::{pair_trials, LatencySummary, PairMetric};
+use optimal_nd::analysis::montecarlo::{pair_trials, LatencySummary};
 use optimal_nd::analysis::{AnalysisConfig, LatencyDistribution};
-use optimal_nd::core::Tick;
+use optimal_nd::core::{Metric, Tick};
 use optimal_nd::netsim::{NetSimulator, NodeSpec};
 use optimal_nd::protocols::optimal::{symmetric, OptimalParams};
 use optimal_nd::sim::{ScheduleBehavior, SimConfig, Topology};
@@ -22,7 +22,7 @@ fn exact_cdf_matches_simulation_quantiles() {
     let mut cfg = SimConfig::paper_baseline(Tick(worst.as_nanos() * 2), 77);
     cfg.collisions = false;
     cfg.half_duplex = false;
-    let lat = pair_trials(&opt.schedule, &opt.schedule, PairMetric::OneWay, &cfg, 200);
+    let lat = pair_trials(&opt.schedule, &opt.schedule, Metric::OneWay, &cfg, 200);
     let s = LatencySummary::from_latencies(&lat);
     assert_eq!(s.failures, 0);
     // simulated quantiles land near the exact ones (200 samples → ~7 %
