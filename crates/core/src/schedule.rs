@@ -436,11 +436,22 @@ impl Schedule {
 
     /// The longer of the two periods, `max(T_B, T_C)` (1 ns for a
     /// schedule with neither side): the span a random initial phase is
-    /// drawn from, and the chunk a simulated device emits at a time.
+    /// drawn from, and the chunk a simulated device emits at a time. It
+    /// equals [`Schedule::hyperperiod`] only when one period divides the
+    /// other.
     pub fn period(&self) -> Tick {
         let tb = self.beacons.as_ref().map_or(Tick::ZERO, |b| b.period());
         let tc = self.windows.as_ref().map_or(Tick::ZERO, |c| c.period());
         tb.max(tc).max(Tick(1))
+    }
+
+    /// The span after which the whole schedule repeats, `lcm(T_B, T_C)`
+    /// (one side's period for a one-sided schedule, 1 ns for neither);
+    /// `None` if the lcm overflows a [`Tick`].
+    pub fn hyperperiod(&self) -> Option<Tick> {
+        let tb = self.beacons.as_ref().map_or(1, |b| b.period().as_nanos());
+        let tc = self.windows.as_ref().map_or(1, |c| c.period().as_nanos());
+        checked_lcm(tb, tc).map(Tick)
     }
 
     /// Fraction of reception time lost to the device's own transmissions
@@ -475,6 +486,11 @@ impl Schedule {
 /// Least common multiple of two nanosecond counts.
 pub(crate) fn lcm(a: u64, b: u64) -> u64 {
     a / gcd(a, b) * b
+}
+
+/// Least common multiple of two positive counts, `None` on overflow.
+pub fn checked_lcm(a: u64, b: u64) -> Option<u64> {
+    (a / gcd(a, b)).checked_mul(b)
 }
 
 /// Greatest common divisor.
@@ -700,5 +716,7 @@ mod tests {
         assert_eq!(lcm(4, 6), 12);
         assert_eq!(gcd(7, 13), 1);
         assert_eq!(lcm(7, 13), 91);
+        assert_eq!(checked_lcm(4, 6), Some(12));
+        assert_eq!(checked_lcm(u64::MAX - 1, u64::MAX), None);
     }
 }

@@ -32,6 +32,44 @@
 //! [`NetSimulator::stop_when_all_discovered`]), its remaining events are
 //! discarded without advancing the clock, which keeps a whole-cohort run
 //! bit-identical to per-shard runs merged by [`crate::shard`].
+//!
+//! # Hyperperiod jumps
+//!
+//! Strictly periodic schedules without drift repeat themselves: two nodes
+//! whose beacons collide or self-block once do so in every round, and a
+//! run of them would simulate the same hyperperiod over and over up to the
+//! horizon. When every node's behaviour has a period
+//! ([`nd_sim::Behavior::period`]), the engine takes H, the lcm of them
+//! all, and at each multiple `b` of H looks back at the template
+//! hyperperiod `[b − H, b)`. The run's future is the template repeated
+//! when all of these hold:
+//!
+//! * the general heap is empty: no join, leave or reactive op is pending;
+//! * the template starts at least H after the last join, leave, reactive
+//!   op, stale event of a departed node, or behaviour going idle (so
+//!   `b = 2H` at the earliest in an always-on run);
+//! * H exceeds the reception look-back, two airtimes plus both
+//!   turnarounds plus the longest listening window;
+//! * the template saw no first contact and no fault roll on an ordered
+//!   pair not yet discovered.
+//!
+//! The engine then takes `m = ⌊(t_end − b) / H⌋` and jumps: it shifts
+//! every pending item by `m·H` (stream events, packet ends, transmission
+//! records, listen timelines, the clock and the behaviours' cursors via
+//! [`nd_sim::Behavior::skip`]), adds `m` times the template's
+//! deterministic counts (events, packets sent, collision and self-blocking
+//! losses, roll-free receptions, every [`nd_sim::DeviceStats`] field),
+//! replays the template's fault rolls `m` times in order on the same node
+//! RNG streams, and simulates the rest normally. Every report field is
+//! what simulating each hyperperiod would have produced, bit for bit.
+//! Drift ([`nd_sim::Drifting`]), jitter, random and reactive behaviours
+//! report no period, so those runs, runs whose churn is still pending,
+//! and runs with less than a hyperperiod left after the earliest
+//! template (`t_end < 3H` when always on) take the ordinary path.
+//!
+//! A behaviour that reports a period promises that its ops repeat with it
+//! (batch boundaries included), that it draws nothing from the RNG it is
+//! handed, and that it answers receptions with no ops.
 
 use crate::event::{EventKind, EventQueue};
 use crate::metrics::CohortReport;
@@ -39,7 +77,7 @@ use crate::node::{NodeArena, NodeSpec};
 use nd_core::interval::{Interval, IntervalSet};
 use nd_core::time::Tick;
 use nd_obs::Progress;
-use nd_sim::{DiscoveryMatrix, Op, PacketCounters, SimConfig, Topology};
+use nd_sim::{Behavior, DeviceStats, DiscoveryMatrix, Op, PacketCounters, SimConfig, Topology};
 use rand::Rng;
 use std::collections::VecDeque;
 
@@ -202,6 +240,32 @@ pub struct NetSimulator {
     /// blanker scan: packet starts are nondecreasing across `TxEnd`s, so
     /// records wholly before one packet are wholly before every later one.
     collider_search: usize,
+    /// The hyperperiod jump's bookkeeping.
+    lock: PhaseLock,
+}
+
+/// What the hyperperiod jump needs to know (see the module doc): H, the
+/// next multiple of it to check, how recently the run changed, and the
+/// current template hyperperiod's starting counters and fault rolls.
+struct PhaseLock {
+    /// H, the lcm of every node's period (unused when `next` is MAX).
+    h: Tick,
+    /// The next multiple of H to check; `Tick::MAX` when none can pass.
+    next: Tick,
+    /// The earliest start a template may have: one H after the last
+    /// stale event or proactive stop, past the last first contact or
+    /// fault roll on an undiscovered pair.
+    settle: Tick,
+    /// Start of the template being recorded, if it may still qualify.
+    start: Option<Tick>,
+    /// Handled events, packet counters and node stats at `start`.
+    events: u64,
+    packets: PacketCounters,
+    stats: Vec<DeviceStats>,
+    /// The template's fault rolls in order: `(receiver, p_drop, lost)`.
+    rolls: Vec<(u32, f64, bool)>,
+    /// Events accounted by jumps without being handled.
+    skipped: u64,
 }
 
 impl NetSimulator {
@@ -249,6 +313,17 @@ impl NetSimulator {
             colliders: Vec::new(),
             blankers: Vec::new(),
             collider_search: 0,
+            lock: PhaseLock {
+                h: Tick::MAX,
+                next: Tick::MAX,
+                settle: Tick::ZERO,
+                start: None,
+                events: 0,
+                packets: PacketCounters::default(),
+                stats: Vec::new(),
+                rolls: Vec::new(),
+                skipped: 0,
+            },
         }
     }
 
@@ -269,15 +344,17 @@ impl NetSimulator {
 
     /// Run to completion and return the cohort report.
     ///
-    /// The event loop is a profiling hook: processed events are flushed
-    /// to the `netsim.events` counter in 2^16 batches **plus a final
-    /// flush on drain** (so short shards are counted exactly), the most
-    /// events ever pending to the `netsim.queue_depth_max` gauge, the
-    /// end-of-run rate to `netsim.events_per_sec`, and (for standalone
-    /// runs — the sweep pool's display takes priority inside a sweep)
-    /// simulated time drives a stderr progress line toward `t_end`. None
-    /// of it runs unless observability is enabled, and none of it feeds
-    /// back into the simulation.
+    /// The event loop is a profiling hook: handled events are flushed to
+    /// the `netsim.events` counter once 2^16 have gathered **plus a final
+    /// flush on drain** (so short shards are counted exactly), events a
+    /// hyperperiod jump accounted for without handling them to
+    /// `netsim.events_skipped`, the most events ever pending to the
+    /// `netsim.queue_depth_max` gauge, the end-of-run rate to
+    /// `netsim.events_per_sec`, and (for standalone runs — the sweep
+    /// pool's display takes priority inside a sweep) simulated time drives
+    /// a stderr progress line toward `t_end`. None of it runs unless
+    /// observability is enabled, and none of it feeds back into the
+    /// simulation.
     pub fn run(mut self) -> CohortReport {
         assert_eq!(
             self.nodes.len(),
@@ -289,6 +366,15 @@ impl NetSimulator {
             if let Some(leave) = self.nodes.leave_of(i) {
                 self.queue.push(leave, EventKind::Leave(i));
             }
+        }
+        // H: every node must have a period, and the lcm must fit
+        let h = self.nodes.behavior.iter().try_fold(1u64, |h, b| {
+            let p = b.period().filter(|p| !p.is_zero())?;
+            nd_core::schedule::checked_lcm(h, p.as_nanos())
+        });
+        if let Some(h) = h {
+            self.lock.h = Tick(h);
+            self.lock.next = Tick(h);
         }
         // Flush-batched so the hot loop touches no shared atomics; 2^16
         // events ≈ a few ms of work, plenty fine-grained for profiling.
@@ -313,6 +399,11 @@ impl NetSimulator {
                     .peek_key()
                     .is_none_or(|(at, qseq)| (end, seq) < (at, qseq))
                 {
+                    if end >= self.lock.next {
+                        // everything before the boundary is handled
+                        self.boundary(end, &mut total_events);
+                        continue;
+                    }
                     self.pending_ends.pop_front();
                     if end > self.cfg.t_end {
                         self.queue.advance(end);
@@ -328,15 +419,21 @@ impl NetSimulator {
                     self.queue.advance(end);
                     self.handle_tx_end(idx);
                     total_events += 1;
-                    if observing && total_events - flushed == FLUSH_EVERY {
-                        nd_obs::metrics::add("netsim.events", FLUSH_EVERY);
+                    if observing && total_events - flushed >= FLUSH_EVERY {
+                        nd_obs::metrics::add("netsim.events", total_events - flushed);
                         flushed = total_events;
                         progress.update(end.0);
                     }
                     continue;
                 }
             }
-            let Some(ev) = self.queue.pop() else { break };
+            let Some(mut ev) = self.queue.pop() else {
+                break;
+            };
+            if ev.at >= self.lock.next {
+                // the popped event is pending at the boundary too
+                ev = ev.shifted(self.boundary(ev.at, &mut total_events));
+            }
             if ev.at > self.cfg.t_end {
                 self.queue.advance(ev.at);
                 break;
@@ -364,12 +461,14 @@ impl NetSimulator {
                             .push(Interval::new(ev.at, end), node);
                         self.nodes.stats[i].n_rx_windows += 1;
                         self.nodes.stats[i].rx_time += end - ev.at;
+                    } else {
+                        self.disturbed();
                     }
                 }
             }
             total_events += 1;
-            if observing && total_events - flushed == FLUSH_EVERY {
-                nd_obs::metrics::add("netsim.events", FLUSH_EVERY);
+            if observing && total_events - flushed >= FLUSH_EVERY {
+                nd_obs::metrics::add("netsim.events", total_events - flushed);
                 flushed = total_events;
                 progress.update(ev.at.0);
             }
@@ -379,6 +478,7 @@ impl NetSimulator {
             // shorter than one flush interval (a 10⁶-node cohort is many
             // such shards — undercounting them skews the cohort gauges)
             nd_obs::metrics::add("netsim.events", total_events - flushed);
+            nd_obs::metrics::add("netsim.events_skipped", self.lock.skipped);
             nd_obs::metrics::gauge_max("netsim.queue_depth_max", self.queue.depth_max() as f64);
             if let Some(start) = wall_start {
                 let secs = start.elapsed().as_secs_f64();
@@ -402,6 +502,138 @@ impl NetSimulator {
         }
     }
 
+    /// At a hyperperiod boundary (the next item is due at `at ≥
+    /// lock.next`, everything before the last multiple `b` of H handled):
+    /// jump if the template `[b − H, b)` repeats, else start recording
+    /// `[b, b + H)` as the next template. Returns the jump.
+    fn boundary(&mut self, at: Tick, events: &mut u64) -> Tick {
+        let h = self.lock.h;
+        let b = self.lock.next + h * ((at - self.lock.next) / h);
+        let (general_at, general_empty) = self.queue.general();
+        let quiet = self.lock.settle.max(general_at.saturating_add(h));
+        let radio = &self.cfg.radio;
+        let longest = self.timelines.iter().map(|tl| tl.max_dur).max();
+        let lookback =
+            radio.omega * 2 + radio.do_rx_tx + radio.do_tx_rx + longest.unwrap_or_default();
+        let m = self.cfg.t_end.saturating_sub(b) / h;
+        if m > 0
+            && general_empty
+            && lookback < h
+            && self.lock.start == Some(b - h)
+            && quiet <= b - h
+        {
+            self.jump(m, events);
+            self.lock.next = Tick::MAX;
+            self.lock.start = None;
+            return h * m;
+        }
+        if m < 2 {
+            // no template from here on has a hyperperiod to repeat into
+            self.lock.next = Tick::MAX;
+            self.lock.start = None;
+            return Tick::ZERO;
+        }
+        self.lock.next = b + h;
+        self.lock.start = (general_empty && quiet <= b).then_some(b);
+        if self.lock.start.is_some() {
+            self.lock.events = *events;
+            self.lock.packets = self.packets.clone();
+            self.lock.stats.clone_from(&self.nodes.stats);
+            self.lock.rolls.clear();
+        }
+        Tick::ZERO
+    }
+
+    /// Jump `m` copies of the template hyperperiod ahead: shift what is
+    /// pending, add the template's deterministic counts `m` times, and
+    /// replay its fault rolls `m` times on the same node streams.
+    fn jump(&mut self, m: u64, events: &mut u64) {
+        let by = self.lock.h * m;
+        self.queue.shift(by);
+        for end in &mut self.pending_ends {
+            end.0 += by;
+        }
+        for tx in &mut self.transmissions {
+            tx.iv = shift_iv(tx.iv, by);
+        }
+        for tl in &mut self.timelines {
+            for e in &mut tl.entries {
+                e.0 = shift_iv(e.0, by);
+            }
+        }
+        for behavior in &mut self.nodes.behavior {
+            behavior.skip(by);
+        }
+
+        let lock = &mut self.lock;
+        let skipped = (*events - lock.events) * m;
+        *events += skipped;
+        lock.skipped += skipped;
+        // fold the template's rolled outcomes into its starting counts, so
+        // what is left of each delta is the deterministic part
+        for &(rx, _, lost) in &lock.rolls {
+            if lost {
+                lock.packets.lost_fault += 1;
+            } else {
+                lock.packets.received += 1;
+                lock.stats[rx as usize].n_received += 1;
+            }
+        }
+        let repeat = |now: &mut u64, then: u64| *now += (*now - then) * m;
+        let PacketCounters {
+            sent,
+            received,
+            lost_collision,
+            lost_self_blocking,
+            lost_fault,
+        } = &mut self.packets;
+        repeat(sent, lock.packets.sent);
+        repeat(received, lock.packets.received);
+        repeat(lost_collision, lock.packets.lost_collision);
+        repeat(lost_self_blocking, lock.packets.lost_self_blocking);
+        repeat(lost_fault, lock.packets.lost_fault);
+        for (now, then) in self.nodes.stats.iter_mut().zip(&lock.stats) {
+            let DeviceStats {
+                tx_time,
+                rx_time,
+                n_tx,
+                n_rx_windows,
+                n_received,
+            } = now;
+            repeat(&mut tx_time.0, then.tx_time.0);
+            repeat(&mut rx_time.0, then.rx_time.0);
+            repeat(n_tx, then.n_tx);
+            repeat(n_rx_windows, then.n_rx_windows);
+            repeat(n_received, then.n_received);
+        }
+        for _ in 0..m {
+            for &(rx, p_drop, _) in &lock.rolls {
+                let rx = rx as usize;
+                if self.nodes.rng[rx].gen::<f64>() < p_drop {
+                    self.packets.lost_fault += 1;
+                } else {
+                    self.packets.received += 1;
+                    self.nodes.stats[rx].n_received += 1;
+                }
+            }
+        }
+    }
+
+    /// The run changed in a way a template must be one H clear of (a
+    /// stale event, a behaviour going idle).
+    fn disturbed(&mut self) {
+        self.lock.settle = self
+            .lock
+            .settle
+            .max(self.queue.now().saturating_add(self.lock.h));
+    }
+
+    /// Discovery moved on (a first contact, or a fault roll that could
+    /// have been one): no template may contain it.
+    fn progressed(&mut self) {
+        self.lock.settle = self.lock.settle.max(self.queue.now() + Tick(1));
+    }
+
     fn handle_join(&mut self, i: usize) {
         self.nodes.present[i] = true;
         self.arm(i);
@@ -413,6 +645,7 @@ impl NetSimulator {
     fn arm(&mut self, i: usize) {
         let now = self.queue.now();
         if !self.nodes.present[i] {
+            self.disturbed();
             return;
         }
         while !self.nodes.proactive_done[i] {
@@ -425,6 +658,7 @@ impl NetSimulator {
             if ops.is_empty() {
                 self.nodes.proactive_done[i] = true;
                 self.op_scratch = ops;
+                self.disturbed();
                 break;
             }
             let mut last = Tick::ZERO;
@@ -460,6 +694,7 @@ impl NetSimulator {
     fn handle_tx_start(&mut self, node: u32, payload: u64, at: Tick) {
         let i = node as usize;
         if !self.nodes.present[i] {
+            self.disturbed();
             return; // a stale beacon of a node that has since left
         }
         let iv = Interval::new(at, at + self.cfg.radio.omega);
@@ -608,18 +843,29 @@ impl NetSimulator {
                     continue;
                 }
             }
-            // fault injection, rolled on the receiver's private stream
+            // fault injection, rolled on the receiver's private stream; a
+            // template replays the rolls on pairs already discovered
             let p_drop = self.cfg.drop_probability + self.topo.link_loss(sender, rx);
-            if p_drop > 0.0 && self.nodes.rng[rx].gen::<f64>() < p_drop {
-                self.packets.lost_fault += 1;
-                continue;
+            let first = self.discovery.one_way(rx, sender).is_none();
+            if p_drop > 0.0 {
+                let lost = self.nodes.rng[rx].gen::<f64>() < p_drop;
+                if first {
+                    self.progressed();
+                } else if self.lock.start.is_some() {
+                    self.lock.rolls.push((rx as u32, p_drop, lost));
+                }
+                if lost {
+                    self.packets.lost_fault += 1;
+                    continue;
+                }
             }
             // success
             self.packets.received += 1;
             self.nodes.stats[rx].n_received += 1;
-            if self.discovery.one_way(rx, sender).is_none() {
+            if first {
                 // a first contact for this ordered pair: count the
                 // cluster down toward completion
+                self.progressed();
                 self.remaining[cluster] -= 1;
                 if self.remaining[cluster] == 0 {
                     self.clusters_active -= 1;
@@ -745,6 +991,11 @@ impl NetSimulator {
             self.tx_base += 1;
         }
     }
+}
+
+/// `iv` moved `by` later.
+fn shift_iv(iv: Interval, by: Tick) -> Interval {
+    Interval::new(iv.start + by, iv.end + by)
 }
 
 /// Node `i`'s simulation-time op as the event that starts it. Departures
@@ -1099,6 +1350,231 @@ mod tests {
                     prop_assert!(streams.events > 0, "n={n}: the run must do something");
                 }
             }
+        }
+    }
+
+    /// Forwards every call but [`Behavior::period`]: a cohort of these
+    /// never jumps, so it is the reference a jumping run must match.
+    struct Aperiodic(Box<dyn Behavior>);
+
+    impl Behavior for Aperiodic {
+        fn next_ops_into(&mut self, after: Tick, rng: &mut dyn rand::RngCore, out: &mut Vec<Op>) {
+            self.0.next_ops_into(after, rng, out)
+        }
+
+        fn on_reception(
+            &mut self,
+            at: Tick,
+            from: usize,
+            payload: u64,
+            rng: &mut dyn rand::RngCore,
+        ) -> Vec<Op> {
+            self.0.on_reception(at, from, payload, rng)
+        }
+    }
+
+    /// Forwards every call and counts the ops emitted.
+    struct Counted(ScheduleBehavior, std::rc::Rc<std::cell::Cell<usize>>);
+
+    impl Behavior for Counted {
+        fn next_ops_into(&mut self, after: Tick, rng: &mut dyn rand::RngCore, out: &mut Vec<Op>) {
+            let before = out.len();
+            self.0.next_ops_into(after, rng, out);
+            self.1.set(self.1.get() + out.len() - before);
+        }
+
+        fn period(&self) -> Option<Tick> {
+            self.0.period()
+        }
+
+        fn skip(&mut self, by: Tick) {
+            self.0.skip(by)
+        }
+    }
+
+    #[test]
+    fn locked_pair_jumps_to_the_horizon() {
+        // identical schedules at one phase: each node's beacon lands while
+        // the other transmits too, so neither ever hears the other; T_B =
+        // 200 µs and T_C = 300 µs make H = 600 µs, not max = 300 µs
+        let sched = Schedule::full(
+            BeaconSeq::uniform(1, Tick::from_micros(200), Tick::from_micros(4), Tick::ZERO)
+                .unwrap(),
+            ReceptionWindows::single(Tick::ZERO, Tick::from_micros(100), Tick::from_micros(300))
+                .unwrap(),
+        );
+        let h = Tick::from_micros(600);
+        let run = |wrap: &dyn Fn(ScheduleBehavior) -> Box<dyn Behavior>| {
+            let mut cfg = base_cfg(0);
+            cfg.t_end = h * 100;
+            let mut net = NetSimulator::new(cfg, Topology::full(2));
+            for _ in 0..2 {
+                net.add_node(NodeSpec::always_on(wrap(ScheduleBehavior::new(
+                    sched.clone(),
+                ))));
+            }
+            net.run()
+        };
+        let emitted = std::rc::Rc::new(std::cell::Cell::new(0));
+        let jumped = run(&|b| Box::new(Counted(b, emitted.clone())));
+        let reference = run(&|b| Box::new(Aperiodic(Box::new(b))));
+        assert_reports_equal(&jumped, &reference, "locked pair");
+        assert!(!jumped.discovery.complete(), "the pair must stay locked");
+        // per node and hyperperiod: 3 beacons and 2 windows
+        let per_h = 2 * (3 + 2);
+        assert!(
+            emitted.get() <= 4 * per_h,
+            "{} ops emitted, more than 4 hyperperiods' {}",
+            emitted.get(),
+            4 * per_h
+        );
+        assert!(reference.events > 90 * per_h as u64, "{}", reference.events);
+    }
+
+    /// One randomized periodic cohort of the jump property.
+    #[derive(Clone, Debug)]
+    struct Periodic {
+        seed: u64,
+        n: usize,
+        clusters: bool,
+        collisions: bool,
+        half_duplex: bool,
+        turnaround: bool,
+        drop: bool,
+        link_loss: bool,
+        overlap: nd_core::coverage::OverlapModel,
+        stop_early: bool,
+        churn: bool,
+        unit_us: u64,
+        hyperperiods: u64,
+    }
+
+    /// Build and run `c`, every behaviour wrapped in [`Aperiodic`] when
+    /// `reference` is set. Nodes draw one of two schedules whose periods
+    /// are small multiples of one unit (so `T_B ≠ T_C` is common).
+    fn periodic_cohort(c: &Periodic, reference: bool) -> CohortReport {
+        let mut rng = StdRng::seed_from_u64(c.seed);
+        let unit = Tick::from_micros(c.unit_us);
+        let omega = Tick::from_micros(4);
+        let kinds: Vec<Schedule> = (0..2)
+            .map(|_| {
+                let tb = unit * rng.gen_range(1u64..=4);
+                let tc = unit * rng.gen_range(1u64..=4);
+                let window = Tick(rng.gen_range(omega.0 * 2..=tc.0 * 9 / 10));
+                let start = Tick(rng.gen_range(0..=(tc - window).0));
+                Schedule::full(
+                    BeaconSeq::uniform(1, tb, omega, Tick::ZERO).unwrap(),
+                    ReceptionWindows::single(start, window, tc).unwrap(),
+                )
+            })
+            .collect();
+        let h = kinds.iter().fold(Tick(1), |h, k| {
+            Tick(nd_core::schedule::checked_lcm(h.0, k.hyperperiod().unwrap().0).unwrap())
+        });
+        // a part hyperperiod past the last whole one is simulated after
+        // the jump, on the shifted state
+        let t_end = h * c.hyperperiods + Tick(rng.gen_range(0..h.0));
+        let mut cfg = SimConfig::paper_baseline(t_end, c.seed).with_radio(radio(4));
+        cfg.collisions = c.collisions;
+        cfg.half_duplex = c.half_duplex;
+        if c.turnaround {
+            cfg.radio.do_rx_tx = Tick::from_micros(10);
+            cfg.radio.do_tx_rx = Tick::from_micros(10);
+        }
+        cfg.drop_probability = if c.drop { 0.3 } else { 0.0 };
+        cfg.overlap = c.overlap;
+        let n = c.n;
+        let mut topo = if c.clusters {
+            let k = (n as u32 / 4).clamp(2, 4);
+            Topology::clusters((0..n as u32).map(|i| i % k).collect())
+        } else {
+            Topology::full(n)
+        };
+        if c.link_loss {
+            for _ in 0..n {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                topo.set_link_loss(a, b, 0.25);
+            }
+        }
+        // churn, when on, is over by half the horizon: half the nodes
+        // join late, and half of those leave again
+        let mut plan = ChurnPlan::stable(n);
+        if c.churn {
+            for i in 0..n {
+                if rng.gen_bool(0.5) {
+                    let join = Tick(rng.gen_range(0..t_end.0 / 4));
+                    plan.joins[i] = join;
+                    plan.leaves[i] = rng
+                        .gen_bool(0.5)
+                        .then(|| Tick(rng.gen_range(join.0 + 1..t_end.0 / 2)));
+                }
+            }
+        }
+        let mut sim = NetSimulator::new(cfg, topo);
+        sim.stop_when_all_discovered(c.stop_early);
+        // a coarse grid makes beacons meet, the µs offsets put packets in
+        // flight across hyperperiod boundaries
+        let grid = unit / 4;
+        for i in 0..n {
+            let kind = kinds[rng.gen_range(0..2usize)].clone();
+            let phase =
+                grid * rng.gen_range(0..(h / grid)) + Tick::from_micros(rng.gen_range(0..4));
+            let mut behavior: Box<dyn Behavior> =
+                Box::new(ScheduleBehavior::with_phase(kind, phase));
+            if reference {
+                behavior = Box::new(Aperiodic(behavior));
+            }
+            sim.add_node(NodeSpec::windowed(behavior, plan.joins[i], plan.leaves[i]));
+        }
+        sim.run()
+    }
+
+    impl Periodic {
+        /// Every knob drawn from `seed`.
+        fn draw(seed: u64) -> Self {
+            use nd_core::coverage::OverlapModel;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut flag = || rng.gen_bool(0.5);
+            let flags = [(); 8].map(|_| flag());
+            let [clusters, collisions, half_duplex, turnaround, drop, link_loss, stop_early, churn] =
+                flags;
+            Periodic {
+                seed,
+                n: [2, 8, 33][rng.gen_range(0..3usize)],
+                clusters,
+                collisions,
+                half_duplex,
+                turnaround,
+                drop,
+                link_loss,
+                overlap: [
+                    OverlapModel::Start,
+                    OverlapModel::AnyOverlap,
+                    OverlapModel::FullPacket,
+                ][rng.gen_range(0..3usize)],
+                stop_early,
+                churn,
+                unit_us: rng.gen_range(100..400),
+                hyperperiods: rng.gen_range(3..=60),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(cases(24))]
+
+        /// Random periodic cohorts — N ∈ {2, 8, 33}, one cluster or
+        /// several, collisions, half-duplex and turnarounds each on or
+        /// off, drops 0 or 0.3 plus link loss, every overlap model,
+        /// early stop on or off, churn that ends mid-run, horizons of
+        /// 3–60 hyperperiods — report field for field what the same
+        /// cohort reports with every behaviour hiding its period, so
+        /// never jumping.
+        #[test]
+        fn hyperperiod_jump_matches_reference(seed in 0u64..u64::MAX) {
+            let c = Periodic::draw(seed);
+            let (jumped, reference) = (periodic_cohort(&c, false), periodic_cohort(&c, true));
+            assert_reports_equal(&jumped, &reference, &format!("{c:?}"));
         }
     }
 

@@ -23,6 +23,11 @@
 //! [`EventQueue::advance`] for events it *handles*, so events it discards
 //! (a completed cluster's tail) leave the clock — and therefore the
 //! reported elapsed time — exactly where the per-shard runs put it.
+//!
+//! [`EventQueue::shift`] moves every pending event and the clock later by
+//! one amount, the engine's jump over whole hyperperiods. Sequence numbers
+//! stay as they are: only their order breaks ties, and a uniform shift
+//! keeps it.
 
 use nd_core::time::Tick;
 use std::cmp::Reverse;
@@ -83,6 +88,17 @@ pub(crate) struct Event {
     pub kind: EventKind,
 }
 
+impl Event {
+    /// The same event `by` later (a listening window keeps its length).
+    pub fn shifted(mut self, by: Tick) -> Event {
+        self.at += by;
+        if let EventKind::RxStart { end, .. } = &mut self.kind {
+            *end += by;
+        }
+        self
+    }
+}
+
 /// One node's pending events in `(at, seq)` order: `events[cursor..]`.
 /// Reset to empty the moment it drains, so `events.last()` is always the
 /// pending tail and the buffer's capacity is reused by the next batch.
@@ -109,6 +125,8 @@ pub(crate) struct EventQueue {
     depth_max: usize,
     seq: u64,
     now: Tick,
+    /// Instant of the last event popped off the general heap.
+    general_at: Tick,
 }
 
 impl EventQueue {
@@ -124,6 +142,7 @@ impl EventQueue {
             depth_max: 0,
             seq: 0,
             now: Tick::ZERO,
+            general_at: Tick::ZERO,
         }
     }
 
@@ -208,10 +227,37 @@ impl EventQueue {
             }
             ev
         } else {
-            self.general.pop()?.0
+            let ev = self.general.pop()?.0;
+            self.general_at = ev.at;
+            ev
         };
         self.len -= 1;
         Some(ev)
+    }
+
+    /// The instant of the last event popped off the general heap (a
+    /// join, a leave, a reactive op or an out-of-order op), and whether
+    /// the general heap is empty now.
+    pub fn general(&self) -> (Tick, bool) {
+        (self.general_at, self.general.is_empty())
+    }
+
+    /// Move every pending event, and the clock, `by` later. The general
+    /// heap must be empty.
+    pub fn shift(&mut self, by: Tick) {
+        debug_assert!(self.general.is_empty(), "shift with general events pending");
+        for stream in &mut self.streams {
+            for ev in &mut stream.events[stream.cursor..] {
+                *ev = ev.shifted(by);
+            }
+        }
+        // a uniform shift keeps the heap order; `from` re-heapifies anyway
+        let heads = std::mem::take(&mut self.heads).into_vec();
+        self.heads = heads
+            .into_iter()
+            .map(|Reverse((at, seq, node))| Reverse((at + by, seq, node)))
+            .collect();
+        self.now += by;
     }
 
     /// Advance the logical clock to `at` (monotone).
@@ -285,6 +331,35 @@ mod tests {
         q.advance(ev.at);
         assert_eq!(q.now(), Tick(40));
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn shift_moves_every_pending_event_and_the_clock() {
+        let fill = |q: &mut EventQueue| {
+            q.push_stream(Tick(10), EventKind::Wake(0));
+            q.push_stream(
+                Tick(20),
+                EventKind::RxStart {
+                    node: 1,
+                    end: Tick(25),
+                },
+            );
+            q.push_stream(Tick(20), EventKind::Wake(1));
+            q.push_stream(Tick(30), EventKind::Wake(0));
+        };
+        let (mut q, mut moved) = (EventQueue::new(2), EventQueue::new(2));
+        fill(&mut q);
+        fill(&mut moved);
+        for q in [&mut q, &mut moved] {
+            let ev = q.pop().unwrap();
+            q.advance(ev.at);
+        }
+        moved.shift(Tick(1000));
+        assert_eq!(moved.now(), Tick(1010));
+        while let Some(ev) = q.pop() {
+            assert_eq!(moved.pop(), Some(ev.shifted(Tick(1000))));
+        }
+        assert_eq!(moved.pop(), None);
     }
 
     /// One heap over every pending event: what the queue must match.

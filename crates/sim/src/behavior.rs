@@ -78,6 +78,29 @@ pub trait Behavior {
         let _ = (at, from, payload, rng);
         Vec::new()
     }
+
+    /// The behaviour's period P on its local timeline, if it has one; the
+    /// engine jumps a run whose every node has one forward by whole
+    /// hyperperiods (see `nd_netsim::engine`).
+    ///
+    /// `Some(P)` is a promise, kept for the rest of the run:
+    /// * its ops repeat every P, batch boundaries included: the batch
+    ///   asked for at local `t + P` is the batch asked for at `t` shifted
+    ///   by P, and it ends at most P after `t`;
+    /// * neither method draws from the RNG it is handed;
+    /// * [`Behavior::on_reception`] returns no ops and changes nothing.
+    ///
+    /// `None` (the default) claims nothing.
+    fn period(&self) -> Option<Tick> {
+        None
+    }
+
+    /// Move the emission cursors `by` forward (a multiple of
+    /// [`Behavior::period`]), as if every batch in between had been
+    /// emitted and handled. Only called on behaviours with a period.
+    fn skip(&mut self, by: Tick) {
+        let _ = by;
+    }
 }
 
 /// Drives a static periodic [`Schedule`] (beacon sequence + reception
@@ -208,6 +231,17 @@ impl Behavior for ScheduleBehavior {
         self.scratch_tx = txs;
         self.scratch_rx = rxs;
     }
+
+    /// `lcm(T_B, T_C)`: the emission chunk `max(T_B, T_C)` divides it, so
+    /// batches repeat with the ops.
+    fn period(&self) -> Option<Tick> {
+        self.schedule.hyperperiod()
+    }
+
+    fn skip(&mut self, by: Tick) {
+        self.emitted_until_b += by;
+        self.emitted_until_c += by;
+    }
 }
 
 impl<B: Behavior + ?Sized> Behavior for Box<B> {
@@ -223,6 +257,14 @@ impl<B: Behavior + ?Sized> Behavior for Box<B> {
         rng: &mut dyn RngCore,
     ) -> Vec<Op> {
         (**self).on_reception(at, from, payload, rng)
+    }
+
+    fn period(&self) -> Option<Tick> {
+        (**self).period()
+    }
+
+    fn skip(&mut self, by: Tick) {
+        (**self).skip(by)
     }
 }
 
@@ -326,6 +368,75 @@ mod tests {
                 all_a.iter().any(|oa| oa.at() == op.at() + phase),
                 "op {op:?} has no phase-shifted counterpart"
             );
+        }
+    }
+
+    #[test]
+    fn period_is_the_lcm_and_skip_continues_the_stream() {
+        use rand::Rng;
+        // T_B = 300 µs, T_C = 700 µs: H = 2.1 ms, three times max(T_B, T_C)
+        let s = Schedule::full(
+            BeaconSeq::uniform(1, Tick::from_micros(300), Tick::from_micros(4), Tick::ZERO)
+                .unwrap(),
+            ReceptionWindows::single(
+                Tick::from_micros(300),
+                Tick::from_micros(350),
+                Tick::from_micros(700),
+            )
+            .unwrap(),
+        );
+        let h = Tick::from_micros(2100);
+        let phase = Tick(rng().gen_range(0..h.0));
+        let fresh = || ScheduleBehavior::with_phase(s.clone(), phase);
+        assert_eq!(fresh().period(), Some(h));
+        assert_ne!(s.period(), h, "max(T_B, T_C) is not the period");
+        // refill like the engine: at the previous batch's last op
+        let refill = |b: &mut ScheduleBehavior, after: &mut Tick| {
+            let ops = b.next_ops(*after, &mut rng());
+            *after = ops.last().unwrap().at();
+            ops
+        };
+        let (mut a, mut at_a) = (fresh(), Tick::ZERO);
+        let mut ops = Vec::new();
+        while at_a < h * 3 {
+            ops.extend(refill(&mut a, &mut at_a));
+        }
+        let span = |from: Tick| -> Vec<Op> {
+            ops.iter()
+                .filter(|op| (from..from + h).contains(&op.at()))
+                .copied()
+                .collect()
+        };
+        let shifted: Vec<Op> = span(h)
+            .into_iter()
+            .map(|op| match op {
+                Op::Tx { at, payload } => Op::Tx {
+                    at: at + h,
+                    payload,
+                },
+                Op::Rx { at, duration } => Op::Rx {
+                    at: at + h,
+                    duration,
+                },
+            })
+            .collect();
+        assert!(!shifted.is_empty());
+        assert_eq!(span(h * 2), shifted, "[2H, 3H) repeats [H, 2H)");
+        // skipping k·H lands where emitting k·H more would have
+        let (mut b, mut at_b) = (fresh(), Tick::ZERO);
+        while at_b < at_a {
+            refill(&mut b, &mut at_b);
+        }
+        assert_eq!(at_b, at_a);
+        let k = 5;
+        while at_a < at_b + h * k {
+            refill(&mut a, &mut at_a);
+        }
+        b.skip(h * k);
+        at_b += h * k;
+        assert_eq!(at_b, at_a);
+        for _ in 0..10 {
+            assert_eq!(refill(&mut b, &mut at_b), refill(&mut a, &mut at_a));
         }
     }
 

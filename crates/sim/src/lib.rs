@@ -8,7 +8,8 @@
 //! * radios sleep, transmit beacons of airtime ω, or listen in reception
 //!   windows ([`behavior::Op`]), driven by [`behavior::Behavior`]s, which
 //!   append each sorted batch of ops to the engine's buffer —
-//!   static periodic schedules use [`behavior::ScheduleBehavior`],
+//!   static periodic schedules use [`behavior::ScheduleBehavior`] (which
+//!   reports its period, so the engine can jump a locked run ahead),
 //!   reactive protocols (mutual assistance, BLE advDelay) implement the
 //!   trait directly, and [`drift::Drifting`] skews any of them;
 //! * [`config::SimConfig`] fixes the channel model the paper analyzes: a
