@@ -17,7 +17,10 @@
 //! * **Forward pass** (phase 0): walk the images in delay order against a
 //!   shrinking uncovered set. What image `n` cuts out of the uncovered set
 //!   is exactly the set of offsets it hits first, so the cut pieces are
-//!   the first-hit map and their measures its distribution. The walk
+//!   the first-hit map and their measures its distribution. One merge of
+//!   the uncovered set against the image yields both the cut pieces (∩)
+//!   and the next uncovered set (\), into two buffers reused across
+//!   images ([`IntervalSet::cut_into`]). The walk
 //!   stops when the period is covered, or when the covered measure
 //!   reaches the largest measure any expansion can cover (later images
 //!   can hit nothing first). That bound is settled only if the first
@@ -349,6 +352,8 @@ fn forward(
 ) -> Result<Forward, FirstHitError> {
     let p = train.p;
     let mut uncovered = IntervalSet::single(Tick::ZERO, Tick(p));
+    // what each image cuts, and the uncovered set it leaves
+    let (mut hits, mut rest) = (IntervalSet::empty(), IntervalSet::empty());
     let mut fwd = Forward {
         n: 0,
         mass: Vec::new(),
@@ -377,13 +382,13 @@ fn forward(
             break; // coverage can no longer grow
         }
         let j = fwd.n;
-        let image = train.image(base, j);
+        uncovered.cut_into(&train.image(base, j), &mut hits, &mut rest);
+        std::mem::swap(&mut uncovered, &mut rest);
         let mut hit = 0;
-        for &piece in image.intersect(&uncovered).intervals() {
+        for &piece in hits.intervals() {
             hit += piece.measure().as_nanos();
             fwd.pieces.push((piece, j));
         }
-        uncovered = uncovered.subtract(&image);
         if hit > 0 {
             last_hit = j;
         }

@@ -7,7 +7,9 @@
 //! `CoverageMap::first_hit_profile`, and folds the per-phase profiles into
 //! the one-way results and the latency distribution. The kernel must agree
 //! with it bit for bit — every `CoverageCase`/`WorstCase` field, the
-//! distribution's mean and quantiles — and fail with the same errors.
+//! distribution's mean and quantiles (from q = 1e-9 to 0.999999, against
+//! the oracle's 80-step bisection on the plain-scan CDF) — and fail with
+//! the same errors.
 //!
 //! Cases: random slotted and slotless pairs, Disco prime pairs with
 //! different periods, `optimal::unidirectional` tilings, the slotted
@@ -388,26 +390,42 @@ fn same<T: PartialEq + std::fmt::Debug, U>(
     }
 }
 
-fn dist_bits(d: &LatencyDistribution) -> [u64; 6] {
-    [
-        d.mean().to_bits(),
-        d.quantile(0.50).to_bits(),
-        d.quantile(0.95).to_bits(),
-        d.quantile(0.99).to_bits(),
-        d.undiscovered_probability().to_bits(),
-        d.worst().map_or(u64::MAX, |w| w.as_nanos()),
-    ]
+/// The quantiles compared: both tails as well as the backend's three.
+const QS: [f64; 6] = [1e-9, 0.001, 0.5, 0.95, 0.99, 0.999999];
+
+/// Mean, the quantiles at `QS`, undiscovered mass and worst case, as bits.
+fn dist_key(
+    mean: f64,
+    quantile: impl Fn(f64) -> f64,
+    undiscovered: f64,
+    worst: Option<Tick>,
+) -> Vec<u64> {
+    let quantiles = QS.iter().map(|&q| quantile(q).to_bits());
+    std::iter::once(mean.to_bits())
+        .chain(quantiles)
+        .chain([
+            undiscovered.to_bits(),
+            worst.map_or(u64::MAX, |w| w.as_nanos()),
+        ])
+        .collect()
 }
 
-fn oracle_dist_bits(d: &oracle::Distribution) -> [u64; 6] {
-    [
-        d.mean().to_bits(),
-        d.quantile(0.50).to_bits(),
-        d.quantile(0.95).to_bits(),
-        d.quantile(0.99).to_bits(),
-        d.undiscovered_probability().to_bits(),
-        d.worst().map_or(u64::MAX, |w| w.as_nanos()),
-    ]
+fn dist_bits(d: &LatencyDistribution) -> Vec<u64> {
+    dist_key(
+        d.mean(),
+        |q| d.quantile(q),
+        d.undiscovered_probability(),
+        d.worst(),
+    )
+}
+
+fn oracle_dist_bits(d: &oracle::Distribution) -> Vec<u64> {
+    dist_key(
+        d.mean(),
+        |q| d.quantile(q),
+        d.undiscovered_probability(),
+        d.worst(),
+    )
 }
 
 /// Assert the kernel and the oracle agree on every one-way view.
@@ -441,7 +459,7 @@ fn agree(beacons: &BeaconSeq, windows: &ReceptionWindows, cfg: &AnalysisConfig) 
         same(
             ours,
             theirs,
-            |b| *b,
+            |b| b.clone(),
             &format!("distribution (partial {partial}): {ctx}"),
         );
     }

@@ -203,6 +203,58 @@ impl IntervalSet {
         IntervalSet { ivs: out }
     }
 
+    /// Cut `self` by `other` in one merge of the two lists: `inside`
+    /// becomes `self ∩ other` and `outside` becomes `self \ other`, the
+    /// same sets [`IntervalSet::intersect`] and [`IntervalSet::subtract`]
+    /// return. Both buffers are overwritten and keep their allocations.
+    ///
+    /// The merge gallops: a run of intervals of one list that falls between
+    /// two of the other is found by exponential search, and a run of `self`
+    /// that `other` does not touch is copied to `outside` whole.
+    pub fn cut_into(
+        &self,
+        other: &IntervalSet,
+        inside: &mut IntervalSet,
+        outside: &mut IntervalSet,
+    ) {
+        inside.ivs.clear();
+        outside.ivs.clear();
+        let (a, b) = (&self.ivs[..], &other.ivs[..]);
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() {
+            // the intervals of `other` entirely before a[i] cut nothing
+            j += gallop(&b[j..], |y| y.end <= a[i].start);
+            let Some(first) = b.get(j) else { break };
+            // the intervals of `self` entirely before that one are not cut
+            let run = gallop(&a[i..], |x| x.end <= first.start);
+            outside.ivs.extend_from_slice(&a[i..i + run]);
+            i += run;
+            if i == a.len() || first.end <= a[i].start {
+                continue;
+            }
+            // a[i] meets b[j]: `from` is where its part not yet placed begins
+            let x = a[i];
+            let mut from = x.start;
+            for y in b[j..].iter().take_while(|y| y.start < x.end) {
+                if y.start > from {
+                    outside.ivs.push(Interval::new(from, y.start));
+                }
+                inside
+                    .ivs
+                    .push(Interval::new(y.start.max(from), y.end.min(x.end)));
+                from = y.end;
+                if from >= x.end {
+                    break;
+                }
+            }
+            if from < x.end {
+                outside.ivs.push(Interval::new(from, x.end));
+            }
+            i += 1;
+        }
+        outside.ivs.extend_from_slice(&a[i..]);
+    }
+
     /// Set difference `self \ other`.
     pub fn subtract(&self, other: &IntervalSet) -> IntervalSet {
         let mut out = Vec::new();
@@ -257,29 +309,48 @@ impl IntervalSet {
     /// offsets left by Σλ wraps around the period boundary (what shifts out
     /// of `[0, T_C)` on one side re-enters on the other; cf. the proof of
     /// Theorem 4.2).
+    ///
+    /// The result is a rotation of the sorted list, built in one pass: the
+    /// intervals past `period − d` (`d`: the right-shift in `[0, period)`)
+    /// wrap to the front, the one holding `period − d` inside is split in
+    /// two, and the old seam (offset 0, now at `d`) is the one place where
+    /// two intervals can touch and merge.
     pub fn shift_mod(&self, delta: i128, period: Tick) -> IntervalSet {
         assert!(!period.is_zero(), "zero period");
-        let p = period.0 as i128;
-        let d = delta.rem_euclid(p) as u64; // effective right-shift in [0, p)
+        let p = period.0;
+        let d = delta.rem_euclid(i128::from(p)) as u64; // effective right-shift in [0, p)
         if d == 0 {
             return self.clone();
         }
-        let mut parts = Vec::with_capacity(self.ivs.len() + 1);
-        for iv in &self.ivs {
-            debug_assert!(iv.end.0 <= period.0, "interval outside [0, period)");
-            let s = iv.start.0 + d;
-            let e = iv.end.0 + d;
-            if e <= period.0 {
-                parts.push(Interval::new(Tick(s), Tick(e)));
-            } else if s >= period.0 {
-                parts.push(Interval::new(Tick(s - period.0), Tick(e - period.0)));
-            } else {
-                // straddles the wrap point: split
-                parts.push(Interval::new(Tick(s), period));
-                parts.push(Interval::new(Tick::ZERO, Tick(e - period.0)));
+        debug_assert!(
+            self.ivs.last().is_none_or(|iv| iv.end <= period),
+            "interval outside [0, period)"
+        );
+        let cut = p - d;
+        let (head, tail) = self
+            .ivs
+            .split_at(self.ivs.partition_point(|iv| iv.end.0 <= cut));
+        let straddle = tail.first().filter(|iv| iv.start.0 < cut);
+        let tail = &tail[usize::from(straddle.is_some())..];
+        let mut ivs = Vec::with_capacity(self.ivs.len() + 1);
+        ivs.extend(straddle.map(|iv| Interval::new(Tick::ZERO, Tick(iv.end.0 - cut))));
+        ivs.extend(
+            tail.iter()
+                .map(|iv| Interval::new(Tick(iv.start.0 - cut), Tick(iv.end.0 - cut))),
+        );
+        let mut rest = head
+            .iter()
+            .map(|iv| iv.shifted(Tick(d)))
+            .chain(straddle.map(|iv| Interval::new(Tick(iv.start.0 + d), period)));
+        if let Some(first) = rest.next() {
+            match ivs.last_mut() {
+                // the seam: an interval ending at `period` meets one from 0
+                Some(last) if first.start <= last.end => last.end = last.end.max(first.end),
+                _ => ivs.push(first),
             }
         }
-        IntervalSet::from_intervals(parts)
+        ivs.extend(rest);
+        IntervalSet { ivs }
     }
 
     /// The maximal uncovered gaps within `[0, period)`.
@@ -324,6 +395,19 @@ impl IntervalSet {
     pub fn breakpoints(&self) -> impl Iterator<Item = Tick> + '_ {
         self.ivs.iter().flat_map(|iv| [iv.start, iv.end])
     }
+}
+
+/// The number of leading intervals of `s` that satisfy `pred`, which holds
+/// on a prefix of `s`: probes 1, 2, 4, … intervals ahead, then bisects the
+/// last step, so a short prefix costs a few comparisons.
+fn gallop(s: &[Interval], pred: impl Fn(&Interval) -> bool) -> usize {
+    let (mut lo, mut step) = (0, 1);
+    while lo + step <= s.len() && pred(&s[lo + step - 1]) {
+        lo += step;
+        step *= 2;
+    }
+    let end = (lo + step - 1).min(s.len());
+    lo + s[lo..end].partition_point(pred)
 }
 
 impl fmt::Debug for IntervalSet {
@@ -450,6 +534,22 @@ mod tests {
         let shifted = s.shift_mod(2, Tick(10));
         assert_eq!(shifted.intervals(), &[iv(0, 1), iv(9, 10)]);
         assert_eq!(shifted.measure(), s.measure());
+
+        // the old seam: [8, 10) and [0, 2) meet at 3 and merge
+        let s = set(&[(0, 2), (5, 6), (8, 10)]);
+        assert_eq!(s.shift_mod(3, Tick(10)).intervals(), &[iv(1, 5), iv(8, 9)]);
+        // and around a split: the whole period stays whole
+        assert_eq!(set(&[(0, 10)]).shift_mod(4, Tick(10)), set(&[(0, 10)]));
+    }
+
+    #[test]
+    fn cut_into_is_intersect_and_subtract() {
+        let a = set(&[(0, 10), (20, 30)]);
+        let b = set(&[(5, 25), (28, 40)]);
+        let (mut inside, mut outside) = (set(&[(1, 2)]), set(&[(3, 4)]));
+        a.cut_into(&b, &mut inside, &mut outside);
+        assert_eq!(inside.intervals(), &[iv(5, 10), iv(20, 25), iv(28, 30)]);
+        assert_eq!(outside.intervals(), &[iv(0, 5), iv(25, 28)]);
     }
 
     #[test]

@@ -25,6 +25,59 @@ fn interval_set(period: u64) -> impl Strategy<Value = IntervalSet> {
     })
 }
 
+/// An interval set inside [0, period) that, one time in four, reaches both
+/// ends of the period: the seam a rotation has to merge.
+fn seam_set(period: u64) -> impl Strategy<Value = IntervalSet> {
+    let len = 1..period / 4 + 1;
+    (interval_set(period), 0u64..4, len.clone(), len).prop_map(move |(set, ends, a, b)| {
+        let mut ivs = set.intervals().to_vec();
+        if ends & 1 != 0 {
+            ivs.push(Interval::new(Tick::ZERO, Tick(a)));
+        }
+        if ends & 2 != 0 {
+            ivs.push(Interval::new(Tick(period - b), Tick(period)));
+        }
+        IntervalSet::from_intervals(ivs)
+    })
+}
+
+/// Up to 100 short intervals inside [0, period): long runs between the
+/// intervals of a coarse set.
+fn fine_set(period: u64) -> impl Strategy<Value = IntervalSet> {
+    prop::collection::vec((0..period, 1u64..8), 0..100).prop_map(move |raw| {
+        IntervalSet::from_intervals(
+            raw.into_iter()
+                .map(|(s, len)| Interval::new(Tick(s), Tick((s + len).min(period)))),
+        )
+    })
+}
+
+/// A shift in −3p..3p that, one time in four, is a multiple of the period
+/// (0 included).
+fn shift(period: u64) -> impl Strategy<Value = i128> {
+    let p = i128::from(period);
+    (0u64..4, -3 * p..3 * p, -3i128..4)
+        .prop_map(move |(kind, any, k)| if kind == 0 { k * p } else { any })
+}
+
+/// `a` shifted right by `delta` modulo `period` as the parts each interval
+/// splits into, normalized by `from_intervals`: the construction the
+/// one-pass rotation of `shift_mod` replaced.
+fn shift_mod_by_parts(a: &IntervalSet, delta: i128, period: u64) -> IntervalSet {
+    let d = delta.rem_euclid(i128::from(period)) as u64;
+    let iv = |s: u64, e: u64| Interval::new(Tick(s), Tick(e));
+    IntervalSet::from_intervals(a.intervals().iter().flat_map(|part| {
+        let (s, e) = (part.start.0 + d, part.end.0 + d);
+        if e <= period {
+            vec![iv(s, e)]
+        } else if s >= period {
+            vec![iv(s - period, e - period)]
+        } else {
+            vec![iv(s, period), iv(0, e - period)]
+        }
+    }))
+}
+
 /// A valid reception-window sequence with the given period.
 fn reception_windows(period: u64) -> impl Strategy<Value = ReceptionWindows> {
     prop::collection::btree_set(0..period - 1, 1..6).prop_map(move |starts| {
@@ -108,6 +161,26 @@ proptest! {
     fn shift_mod_roundtrips(a in interval_set(1000), delta in -3000i128..3000) {
         let back = a.shift_mod(delta, Tick(1000)).shift_mod(-delta, Tick(1000));
         prop_assert_eq!(back, a);
+    }
+
+    #[test]
+    fn shift_mod_is_the_normalized_split(a in seam_set(1000), delta in shift(1000)) {
+        prop_assert_eq!(a.shift_mod(delta, Tick(1000)), shift_mod_by_parts(&a, delta, 1000));
+    }
+
+    #[test]
+    fn cut_is_intersect_and_subtract(
+        a in seam_set(1000),
+        b in seam_set(1000),
+        fine in fine_set(1000),
+    ) {
+        let (mut inside, mut outside) = (IntervalSet::empty(), IntervalSet::empty());
+        for (x, y) in [(&a, &b), (&b, &a), (&a, &fine), (&fine, &a), (&fine, &fine)] {
+            // the buffers hold the previous cut: it is overwritten
+            x.cut_into(y, &mut inside, &mut outside);
+            prop_assert_eq!(&inside, &x.intersect(y));
+            prop_assert_eq!(&outside, &x.subtract(y));
+        }
     }
 
     #[test]

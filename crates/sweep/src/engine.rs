@@ -320,7 +320,8 @@ fn exec_bounds(job: &Job, spec: &ScenarioSpec) -> Result<BTreeMap<String, f64>, 
 /// The exact backend: one first-hit computation per discovery direction
 /// (one in total for a symmetric pair) answers every row metric. `span`
 /// (`backend.exact`) gains the computation's `phases`, `images`,
-/// `beacons_needed` and `exit` (covered / saturated / budget).
+/// `beacons_needed`, `exit` (covered / saturated / budget) and
+/// `cdf_evals` (the CDF evaluations its percentiles took).
 fn exec_exact(
     job: &Job,
     spec: &ScenarioSpec,
@@ -359,11 +360,14 @@ fn exec_exact(
     );
     m.insert("beacons_needed".to_string(), cov.beacons_needed as f64);
 
+    let mut cdf_evals = 0;
     if spec.percentiles {
         let dist = LatencyDistribution::from_first_hits(&hits);
         for (name, q) in [("p50_s", 0.50), ("p95_s", 0.95), ("p99_s", 0.99)] {
             m.insert(name.to_string(), dist.quantile(q));
         }
+        cdf_evals = dist.cdf_evals();
+        nd_obs::metrics::add("exact.cdf_evals", cdf_evals);
     }
 
     let two_way =
@@ -379,6 +383,7 @@ fn exec_exact(
         span.record("images", images);
         span.record("beacons_needed", cov.beacons_needed);
         span.record("exit", hits.exit());
+        span.record("cdf_evals", cdf_evals);
     }
     if let Some(two) = two_way {
         let (two, _) = two.map_err(|e| e.to_string())?;
